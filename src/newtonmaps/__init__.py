@@ -8,14 +8,15 @@ graphs of orders 2 and 3 on the torus.
 
 __version__ = "0.1.0"
 
-from .canon import (CanonicalKey, IsoResult, SizeGuardError, are_equivalent,
-                    brute_force_iso, canonical_form, canonical_key)
+from .canon import (CanonicalKey, IsoResult, SizeGuardError, WitnessError,
+                    are_equivalent, brute_force_iso, canonical_form,
+                    canonical_key)
 from .duality import PGraph, RefinedMap, abstract_p_graph, dual, refinement
-from .embedded_map import (Dart, Defect, EmbeddedMap, FacialWalk,
-                           MapStructureError, ValidationReport, WalkGluingError,
-                           degree_sequence, euler_characteristic,
-                           face_degree_sequence, facial_walks, genus, make_map,
-                           map_from_facial_walks, mirror, relabel, validate)
+from .embedded_map import (Defect, EmbeddedMap, FacialWalk, MapStructureError,
+                           ValidationReport, WalkGluingError, degree_sequence,
+                           euler_characteristic, face_degree_sequence,
+                           facial_walks, genus, make_map, map_from_facial_walks,
+                           mirror, relabel, validate)
 from .enumeration import (AtlasEntry, ClassificationMismatchError,
                           ClassificationReport, LabelAssignment, Stratum,
                           UnsupportedOrderError, atlas_from_jsonl,
@@ -29,11 +30,11 @@ from .newton import (EPropertyReport, EWitness, NewtonReport, SelfDuality,
 
 __all__ = [
     "AtlasEntry", "CanonicalKey", "ClassificationMismatchError",
-    "ClassificationReport", "Dart", "Defect", "EPropertyReport", "EWitness",
+    "ClassificationReport", "Defect", "EPropertyReport", "EWitness",
     "EmbeddedMap", "FacialWalk", "IsoResult", "LabelAssignment",
     "MapStructureError", "NewtonReport", "PGraph", "ParseError", "RefinedMap",
     "SelfDuality", "SizeGuardError", "Stratum", "UnsupportedOrderError",
-    "ValidationReport", "WalkGluingError", "abstract_p_graph",
+    "ValidationReport", "WalkGluingError", "WitnessError", "abstract_p_graph",
     "are_equivalent", "atlas_from_jsonl", "atlas_to_jsonl", "brute_force_iso",
     "canonical_form", "canonical_key", "check_degree_bounds",
     "check_e_property", "classify", "degree_sequence", "dual",

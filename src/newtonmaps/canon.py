@@ -20,6 +20,10 @@ class SizeGuardError(ValueError):
     """Brute-force search refused: the map is too large for it to be honest."""
 
 
+class WitnessError(RuntimeError):
+    """An equivalence witness failed its own check: an internal fault."""
+
+
 _BRUTE_FORCE_DART_LIMIT = 16
 
 
@@ -189,8 +193,8 @@ def are_equivalent(a: EmbeddedMap, b: EmbeddedMap,
     reflected = mir_a != mir_b
     target = _invert(b.sigma) if reflected else b.sigma
     for d in range(a.n_darts):
-        assert f[a.sigma[d]] == target[f[d]]
-        assert f[d ^ 1] == f[d] ^ 1
+        if f[a.sigma[d]] != target[f[d]] or f[d ^ 1] != f[d] ^ 1:
+            raise WitnessError(f"equivalence witness fails at dart {d}")
     return IsoResult(True, f, reflected)
 
 

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .canon import are_equivalent, canonical_key
+from .canon import WitnessError, are_equivalent, canonical_key
 from .duality import abstract_p_graph, dual, refinement
 from .embedded_map import (EmbeddedMap, MapStructureError, euler_characteristic,
                            facial_walks, genus, validate)
@@ -317,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("classify", help="enumerate and classify an order")
     s.add_argument("--order", type=int, required=True)
     s.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: NEWTON_ATLAS_JOBS or 1)")
+                   help="worker processes, at most one per CPU "
+                        "(default: NEWTON_ATLAS_JOBS or 1)")
     s.add_argument("--out", help="directory for atlas and report files")
     _add_format(s)
     s.set_defaults(func=cmd_classify)
@@ -345,10 +346,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ClassificationMismatchError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 4
-    except AssertionError as exc:
+    except (ClassificationMismatchError, WitnessError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 4
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedded_map import (EmbeddedMap, FacialWalk, MapStructureError, _checked,
+from .embedded_map import (EmbeddedMap, FacialWalk, MapStructureError,
                            facial_walks, make_map)
 
 
@@ -34,13 +34,7 @@ def dual(m: EmbeddedMap) -> EmbeddedMap:
         for d in w.darts:
             origin[d] = lab
     sigma_star = tuple(m.sigma[d ^ 1] for d in range(n))  # phi
-    return EmbeddedMap(
-        vertices=labels,
-        edges=m.edges,
-        sigma=sigma_star,
-        alpha=m.alpha,
-        dart_origin=tuple(origin),
-    )
+    return EmbeddedMap(labels, m.edges, sigma_star, tuple(origin))
 
 
 def _require_no_repeated_edge(walks: tuple[FacialWalk, ...]) -> None:
@@ -79,7 +73,6 @@ def refinement(m: EmbeddedMap) -> RefinedMap:
     toroidal map with r faces this yields 4r vertices, 8r edges and 4r
     quadrilateral faces, one per corner of the base map.
     """
-    _checked(m)
     walks = facial_walks(m)
     _require_no_repeated_edge(walks)
     face_of = {}
@@ -149,7 +142,6 @@ class PGraph:
 
 
 def abstract_p_graph(m: EmbeddedMap) -> PGraph:
-    _checked(m)
     walks = facial_walks(m)
     _require_no_repeated_edge(walks)
     labels = _face_labels(walks)

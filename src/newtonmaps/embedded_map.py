@@ -1,9 +1,10 @@
 """Embedded multigraphs on closed orientable surfaces, as combinatorial maps.
 
-A map is stored as a pair of permutations acting on darts (edge-ends).
-Edge k owns darts 2k and 2k+1; the involution alpha swaps the two darts
-of an edge, and sigma rotates the darts around their origin vertex in
-anti-clockwise order.
+A map is stored as one permutation acting on darts (edge-ends).
+Edge k owns darts 2k and 2k+1, so the involution alpha that swaps the
+two darts of an edge is fixed by the numbering (alpha(d) = d ^ 1) and
+is derived rather than stored; sigma rotates the darts around their
+origin vertex in anti-clockwise order.
 
 Orientation convention: with anti-clockwise vertex rotations, the face
 permutation phi = sigma o alpha traces every facial walk clockwise, so
@@ -29,17 +30,6 @@ class WalkGluingError(ValueError):
     def __init__(self, reason: str, message: str):
         super().__init__(message)
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class Dart:
-    id: int
-    edge: object
-    origin: object
-
-    @property
-    def partner_id(self) -> int:
-        return self.id ^ 1
 
 
 @dataclass(frozen=True)
@@ -77,17 +67,21 @@ class FacialWalk:
 
 @dataclass(frozen=True)
 class EmbeddedMap:
-    """Combinatorial map: vertex rotation sigma and edge pairing alpha on darts.
+    """Combinatorial map: vertex rotation sigma on darts 0..2|E|-1.
 
     vertices and edges are identifier tuples in display order; dart_origin
-    maps each dart to the vertex it emanates from.
+    maps each dart to the vertex it emanates from.  The edge pairing alpha
+    is the derived property d -> d ^ 1.
     """
 
     vertices: tuple
     edges: tuple
     sigma: tuple[int, ...]
-    alpha: tuple[int, ...]
     dart_origin: tuple
+
+    @property
+    def alpha(self) -> tuple[int, ...]:
+        return tuple(d ^ 1 for d in range(self.n_darts))
 
     @property
     def n_darts(self) -> int:
@@ -103,12 +97,6 @@ class EmbeddedMap:
 
     def edge_of(self, dart: int):
         return self.edges[dart // 2]
-
-    def origin_of(self, dart: int):
-        return self.dart_origin[dart]
-
-    def dart(self, dart: int) -> Dart:
-        return Dart(dart, self.edge_of(dart), self.dart_origin[dart])
 
     def endpoints(self, edge_index: int) -> tuple:
         return (self.dart_origin[2 * edge_index], self.dart_origin[2 * edge_index + 1])
@@ -194,9 +182,22 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
         vertices=tuple(rotations.keys()),
         edges=tuple(edge_names),
         sigma=tuple(sigma),
-        alpha=tuple(d ^ 1 for d in range(n)),
         dart_origin=tuple(origin),
     )
+
+
+def _cycle_count(perm) -> int:
+    seen = [False] * len(perm)
+    count = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        count += 1
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            d = perm[d]
+    return count
 
 
 def validate(m: EmbeddedMap) -> ValidationReport:
@@ -205,16 +206,13 @@ def validate(m: EmbeddedMap) -> ValidationReport:
 
     if n == 0:
         return ValidationReport(False, (Defect("empty-map", "map has no darts"),))
-    if len(m.alpha) != n or len(m.dart_origin) != n or n != 2 * len(m.edges):
+    if len(m.dart_origin) != n or n != 2 * len(m.edges):
         defects.append(Defect("length-mismatch",
-                              "sigma/alpha/dart_origin/edge lengths disagree"))
+                              "sigma/dart_origin/edge lengths disagree"))
         return ValidationReport(False, tuple(defects))
 
     if sorted(m.sigma) != list(range(n)):
         defects.append(Defect("sigma-not-permutation", "sigma is not a permutation"))
-    if any(m.alpha[d] != (d ^ 1) for d in range(n)):
-        defects.append(Defect("alpha-not-edge-pairing",
-                              "alpha must swap darts 2k and 2k+1"))
     vset = set(m.vertices)
     if len(vset) != len(m.vertices):
         defects.append(Defect("duplicate-vertex", "vertex listed twice"))
@@ -224,13 +222,17 @@ def validate(m: EmbeddedMap) -> ValidationReport:
     if defects:
         return ValidationReport(False, tuple(defects))
 
-    if any(m.dart_origin[m.sigma[d]] != m.dart_origin[d] for d in range(n)):
+    mixes = any(m.dart_origin[m.sigma[d]] != m.dart_origin[d] for d in range(n))
+    if mixes:
         defects.append(Defect("sigma-mixes-vertices",
                               "a sigma cycle crosses between vertices"))
     present = set(m.dart_origin)
     for v in m.vertices:
         if v not in present:
             defects.append(Defect("isolated-vertex", f"vertex {v!r} has no darts"))
+    if not mixes and _cycle_count(m.sigma) != len(present):
+        defects.append(Defect("split-vertex",
+                              "a vertex's darts form more than one sigma cycle"))
 
     # transitivity of <sigma, alpha> on darts
     seen = {0}
@@ -269,9 +271,13 @@ def facial_walks(m: EmbeddedMap) -> tuple[FacialWalk, ...]:
     """All face boundaries as clockwise closed walks, one per phi-orbit.
 
     Walks are listed by their smallest dart; each walk's dart list starts
-    at that dart, so the output is fully determined by (sigma, alpha).
+    at that dart, so the output is fully determined by sigma.
     """
-    _checked(m)
+    return _trace_faces(_checked(m))
+
+
+def _trace_faces(m: EmbeddedMap) -> tuple[FacialWalk, ...]:
+    """facial_walks without validation, for callers holding a valid map."""
     walks = []
     seen = [False] * m.n_darts
     for d0 in range(m.n_darts):
@@ -316,7 +322,7 @@ def mirror(m: EmbeddedMap) -> EmbeddedMap:
     inv = [0] * m.n_darts
     for d in range(m.n_darts):
         inv[m.sigma[d]] = d
-    return EmbeddedMap(m.vertices, m.edges, tuple(inv), m.alpha, m.dart_origin)
+    return EmbeddedMap(m.vertices, m.edges, tuple(inv), m.dart_origin)
 
 
 def relabel(m: EmbeddedMap,
@@ -351,13 +357,8 @@ def relabel(m: EmbeddedMap,
     for d in range(n):
         sigma[perm[d]] = perm[m.sigma[d]]
         origin[perm[d]] = m.dart_origin[d]
-    return EmbeddedMap(
-        vertices=m.vertices,
-        edges=tuple(m.edges[k] for k in edge_order),
-        sigma=tuple(sigma),
-        alpha=tuple(d ^ 1 for d in range(n)),
-        dart_origin=tuple(origin),
-    )
+    return EmbeddedMap(m.vertices, tuple(m.edges[k] for k in edge_order),
+                       tuple(sigma), tuple(origin))
 
 
 def _walk_steps(walk) -> list[tuple]:
@@ -458,7 +459,6 @@ def map_from_facial_walks(walks: Iterable) -> EmbeddedMap:
         vertices=tuple(order_of_vertex),
         edges=tuple(edge_order),
         sigma=tuple(sigma),
-        alpha=tuple(d ^ 1 for d in range(n)),
         dart_origin=tuple(origin[d] for d in range(n)),
     )
     report = validate(result)

@@ -28,7 +28,8 @@ from typing import Iterator, Optional, Sequence
 
 from .canon import CanonicalKey, canonical_form, canonical_key, _edge_label
 from .duality import dual
-from .embedded_map import EmbeddedMap, facial_walks, validate
+from .embedded_map import (EmbeddedMap, degree_sequence, face_degree_sequence,
+                           facial_walks, validate)
 from .mapdoc import parse, serialize
 from .newton import is_newton
 
@@ -131,13 +132,12 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
         origin[2 * k] = vertices[i]
         origin[2 * k + 1] = vertices[j]
     origin_t = tuple(origin)
-    alpha = tuple(d ^ 1 for d in range(n))
     # first dart of each rotation pinned; permute the rest
     choices = [list(permutations(lst[1:])) for lst in darts_at]
 
     def rec(vi: int, sigma: list[int]) -> Iterator[EmbeddedMap]:
         if vi == order:
-            yield EmbeddedMap(vertices, edges, tuple(sigma), alpha, origin_t)
+            yield EmbeddedMap(vertices, edges, tuple(sigma), origin_t)
             return
         anchor = darts_at[vi][0]
         for tail in choices[vi]:
@@ -167,10 +167,6 @@ def iter_candidates(order: int, min_degree: int = 2,
             yield m
 
 
-def _accepted_verdicts(order: int) -> frozenset[str]:
-    return frozenset({"newton"}) if order <= 3 else frozenset({"e-only"})
-
-
 def _scan_vector(args) -> dict:
     """Worker: classes found in one multiplicity vector's rotation systems.
 
@@ -179,12 +175,11 @@ def _scan_vector(args) -> dict:
     results from any partition of the vectors is associative.
     """
     order, mult, min_degree = args
-    accept = _accepted_verdicts(order)
     found: dict[str, tuple[set, Optional[str]]] = {}
     for m in _vector_candidates(order, mult):
         if not validate(m).ok:
             continue
-        if is_newton(m, order).verdict not in accept:
+        if is_newton(m, order).verdict == "not-newton":
             continue
         kr = canonical_key(m, True).hex()
         ko = canonical_key(m, False).hex()
@@ -194,10 +189,11 @@ def _scan_vector(args) -> dict:
     return {k: (sorted(ops), doc) for k, (ops, doc) in found.items()}
 
 
-def _resolve_jobs(jobs: Optional[int]) -> int:
+def _resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
+    """Worker count: the request, at most one per CPU and one per task."""
     if jobs is None:
         jobs = int(os.environ.get("NEWTON_ATLAS_JOBS", "1") or 1)
-    return max(1, jobs)
+    return max(1, min(jobs, os.cpu_count() or 1, n_tasks))
 
 
 def enumerate_newton(order: int, jobs: Optional[int] = None,
@@ -214,9 +210,9 @@ def enumerate_newton(order: int, jobs: Optional[int] = None,
     if order >= 4:
         warnings.warn(f"order {order}: angle condition unavailable; "
                       "running in e-only mode", stacklevel=2)
-    jobs = _resolve_jobs(jobs)
     tasks = [(order, mult, min_degree)
              for mult in _multiplicity_vectors(order, min_degree)]
+    jobs = _resolve_jobs(jobs, len(tasks))
     merged: dict[str, tuple[set, str]] = {}
     if jobs == 1:
         results = map(_scan_vector, tasks)
@@ -241,30 +237,29 @@ def enumerate_newton(order: int, jobs: Optional[int] = None,
         key = canonical_key(rep, True)
         if key.hex() != kr_hex:
             raise ClassificationMismatchError("canonical representative drifted")
-        walks = facial_walks(rep)
-        delta = tuple(sorted((rep.degree(v) for v in rep.vertices), reverse=True))
-        delta_star = tuple(sorted((w.length for w in walks), reverse=True))
+        delta_star = face_degree_sequence(rep)
         max_face = delta_star[0]
         pattern = max(
             tuple(sorted(Counter(w.vertices).values(), reverse=True))
-            for w in walks if w.length == max_face)
+            for w in facial_walks(rep) if w.length == max_face)
         if order == 3 and max_face not in (4, 5, 6):
             raise ClassificationMismatchError(
                 f"order-3 maximum face {max_face} outside 4..6")
         d = dual(rep)
         dual_key = canonical_key(d, True)
+        key_op = canonical_key(rep, False)
         entries.append(AtlasEntry(
             order=order,
             key=key,
-            key_op=canonical_key(rep, False),
+            key_op=key_op,
             representative=rep,
             representative_doc=doc,
-            delta=delta,
+            delta=degree_sequence(rep),
             delta_star=delta_star,
             max_face=max_face,
             vertex_pattern_on_max_face=pattern,
             self_dual=(dual_key == key),
-            self_dual_op=(canonical_key(d, False) == canonical_key(rep, False)),
+            self_dual_op=(canonical_key(d, False) == key_op),
             dual_key=dual_key,
             op_forms=len(ops),
             verdict=verdict,

@@ -160,6 +160,13 @@ def _token(m: EmbeddedMap, dart: int) -> str:
     return str(name)
 
 
+def _rotation_tokens(m: EmbeddedMap, vertex) -> list[str]:
+    """The rotation at vertex as tokens, started at its least token."""
+    toks = [_token(m, d) for d in m.rotation_at(vertex)]
+    start = toks.index(min(toks))
+    return toks[start:] + toks[:start]
+
+
 def serialize(m: EmbeddedMap) -> str:
     """Canonical document for m; requires plain-word vertex and edge names."""
     for v in m.vertices:
@@ -175,11 +182,7 @@ def serialize(m: EmbeddedMap) -> str:
         u, v = m.endpoints(k)
         lines.append(f"edge {name} {u} {v}")
     for vertex in sorted(m.vertices):
-        cyc = m.rotation_at(vertex)
-        toks = [_token(m, d) for d in cyc]
-        start = toks.index(min(toks))
-        toks = toks[start:] + toks[:start]
-        lines.append(f"rot {vertex} " + " ".join(toks))
+        lines.append(f"rot {vertex} " + " ".join(_rotation_tokens(m, vertex)))
     return "\n".join(lines) + "\n"
 
 
@@ -197,12 +200,8 @@ def map_to_dot(m: EmbeddedMap) -> str:
 
 
 def map_to_json_dict(m: EmbeddedMap) -> dict:
-    rotations = {}
-    for vertex in sorted(m.vertices):
-        cyc = m.rotation_at(vertex)
-        toks = [_token(m, d) for d in cyc]
-        start = toks.index(min(toks))
-        rotations[str(vertex)] = toks[start:] + toks[:start]
+    rotations = {str(vertex): _rotation_tokens(m, vertex)
+                 for vertex in sorted(m.vertices)}
     return {
         "order": m.order,
         "edges": [[str(name), str(m.endpoints(m.edges.index(name))[0]),

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .canon import canonical_key
 from .duality import dual
-from .embedded_map import EmbeddedMap, euler_characteristic, facial_walks, validate
+from .embedded_map import EmbeddedMap, _trace_faces, facial_walks, validate
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,16 @@ def check_e_property(m: EmbeddedMap) -> EPropertyReport:
     by its own edges, so once no edge repeats, each walk is an Eulerian
     circuit of its boundary.
     """
-    for i, w in enumerate(facial_walks(m)):
+    return _e_property(facial_walks(m))
+
+
+def check_degree_bounds(m: EmbeddedMap, order: int) -> bool:
+    """Vertex and face degrees must lie in (1, 2r], with both sums 4r."""
+    return _degree_bounds(m, facial_walks(m), order)
+
+
+def _e_property(walks) -> EPropertyReport:
+    for i, w in enumerate(walks):
         counts = Counter(w.edges)
         for e, c in counts.items():
             if c > 1:
@@ -53,11 +62,10 @@ def check_e_property(m: EmbeddedMap) -> EPropertyReport:
     return EPropertyReport(True)
 
 
-def check_degree_bounds(m: EmbeddedMap, order: int) -> bool:
-    """Vertex and face degrees must lie in (1, 2r], with both sums 4r."""
+def _degree_bounds(m: EmbeddedMap, walks, order: int) -> bool:
     hi = 2 * order
     degs = [m.degree(v) for v in m.vertices]
-    fdegs = [w.length for w in facial_walks(m)]
+    fdegs = [w.length for w in walks]
     return (all(1 < d <= hi for d in degs) and all(1 < d <= hi for d in fdegs)
             and sum(degs) == 4 * order and sum(fdegs) == 4 * order)
 
@@ -90,13 +98,12 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
                             EPropertyReport(False), False, status, "not-newton")
     loopless = all(m.dart_origin[2 * k] != m.dart_origin[2 * k + 1]
                    for k in range(m.n_edges))
-    faces = facial_walks(m)
-    toroidal = (euler_characteristic(m) == 0
-                and m.order == order
-                and m.n_edges == 2 * order
-                and len(faces) == order)
-    e_rep = check_e_property(m)
-    bounds = check_degree_bounds(m, order)
+    walks = _trace_faces(m)
+    # r vertices, 2r edges and r faces force characteristic 0
+    toroidal = (m.order == order and m.n_edges == 2 * order
+                and len(walks) == order)
+    e_rep = _e_property(walks)
+    bounds = _degree_bounds(m, walks, order)
     if toroidal and loopless and e_rep.holds and bounds:
         verdict = "newton" if status != "unavailable" else "e-only"
     else:

@@ -191,6 +191,27 @@ def test_iso(docs):
     assert (r.returncode, r.stdout) == (1, "not-equivalent\n")
 
 
+def test_iso_broken_witness_exits_4_under_optimize():
+    # the witness check must survive python -O, which strips asserts
+    script = (
+        "import sys\n"
+        "from newtonmaps import canon, cli\n"
+        "real = canon._best_trace_sided\n"
+        "calls = []\n"
+        "def wrong(m, allow_reflection):\n"
+        "    trace, order, mirrored = real(m, allow_reflection)\n"
+        "    calls.append(m)\n"
+        "    if len(calls) == 2:\n"
+        "        order = order[1:] + order[:1]\n"
+        "    return trace, order, mirrored\n"
+        "canon._best_trace_sided = wrong\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    r = subprocess.run([sys.executable, "-O", "-c", script, "iso", N2, N2],
+                       capture_output=True, text=True, cwd=ROOT)
+    assert r.returncode == 4
+    assert "internal consistency failure" in r.stderr
+
+
 def test_selfdual(docs):
     r = run_cli("selfdual", CASE3)
     assert r.returncode == 0

@@ -20,10 +20,7 @@ def test_dart_layout(n2):
     assert n2.edges == ("a", "b", "c", "d")
     assert n2.alpha == (1, 0, 3, 2, 5, 4, 7, 6)
     assert n2.edge_of(5) == "c"
-    assert n2.origin_of(0) == "v1" and n2.origin_of(1) == "v2"
     assert n2.endpoints(2) == ("v1", "v2")
-    d = n2.dart(3)
-    assert (d.id, d.edge, d.origin, d.partner_id) == (3, "b", "v2", 2)
 
 
 def test_rotation_and_degree(n2):
@@ -162,23 +159,30 @@ def test_validate_advisories():
     assert euler_characteristic(path) == 2
 
 
-def test_validate_broken_alpha(n2):
-    bad = EmbeddedMap(n2.vertices, n2.edges, n2.sigma,
-                      tuple(range(n2.n_darts)), n2.dart_origin)
-    report = validate(bad)
-    assert not report.ok
-    assert "alpha-not-edge-pairing" in [d.code for d in report.defects]
-
-
 def test_validate_broken_sigma(n2):
-    bad = EmbeddedMap(n2.vertices, n2.edges, (0,) * 8, n2.alpha, n2.dart_origin)
+    bad = EmbeddedMap(n2.vertices, n2.edges, (0,) * 8, n2.dart_origin)
     report = validate(bad)
     assert not report.ok
     assert "sigma-not-permutation" in [d.code for d in report.defects]
 
 
+def test_validate_rejects_split_vertex(n2):
+    # v1's rotation (0 2 4 6) cut into the two cycles (0 2)(4 6)
+    sigma = list(n2.sigma)
+    sigma[2], sigma[6] = 0, 4
+    split = EmbeddedMap(n2.vertices, n2.edges, tuple(sigma), n2.dart_origin)
+    report = validate(split)
+    assert not report.ok
+    assert [d.code for d in report.defects] == ["split-vertex"]
+    with pytest.raises(MapStructureError, match="split-vertex"):
+        genus(split)
+    one_edge = EmbeddedMap(("u",), ("a",), (0, 1), ("u", "u"))
+    assert [d.code for d in validate(one_edge).defects
+            if not d.advisory] == ["split-vertex"]
+
+
 def test_validate_empty():
-    empty = EmbeddedMap((), (), (), (), ())
+    empty = EmbeddedMap((), (), (), ())
     report = validate(empty)
     assert not report.ok
     assert report.defects[0].code == "empty-map"
@@ -195,8 +199,7 @@ def test_facial_walks_require_valid_map():
 
 def test_genus_rejects_odd_characteristic(n2):
     # force an impossible count by lying about the vertex set size
-    bad = EmbeddedMap(n2.vertices + ("v3",), n2.edges, n2.sigma, n2.alpha,
-                      n2.dart_origin)
+    bad = EmbeddedMap(n2.vertices + ("v3",), n2.edges, n2.sigma, n2.dart_origin)
     with pytest.raises(MapStructureError):
         genus(bad)
 

@@ -1,6 +1,7 @@
 """Exhaustive enumeration, classification, labeling, and atlas files."""
 
 import dataclasses
+import os
 import random
 from collections import Counter
 
@@ -14,7 +15,7 @@ from newtonmaps import (ClassificationMismatchError, Stratum,
                         iter_candidates, label_atlas, match_paper_atlas, parse,
                         report_to_json, serialize, strata_check, validate,
                         verify_atlas)
-from newtonmaps.enumeration import _multiplicity_vectors
+from newtonmaps.enumeration import _multiplicity_vectors, _resolve_jobs
 
 # every class of the order-3 table, as
 # (delta_star, delta, self_dual, self_dual_op, op_forms) with multiplicity
@@ -260,6 +261,20 @@ def test_verify_atlas_catches_tampering(atlas3):
 def test_enumeration_is_deterministic(atlas3):
     again = label_atlas(enumerate_newton(3))
     assert atlas_to_jsonl(again) == atlas_to_jsonl(atlas3)
+
+
+def test_resolve_jobs_is_clamped(monkeypatch):
+    # a pure function of its inputs: no worker is started here
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _resolve_jobs(10**6, 19) == 2
+    assert _resolve_jobs(2, 19) == 2
+    assert _resolve_jobs(10**6, 1) == 1
+    assert _resolve_jobs(0, 19) == 1
+    assert _resolve_jobs(-5, 0) == 1
+    monkeypatch.setenv("NEWTON_ATLAS_JOBS", str(10**6))
+    assert _resolve_jobs(None, 19) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_jobs(10**6, 19) == 1
 
 
 def test_parallel_enumeration_matches(atlas2):

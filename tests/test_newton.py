@@ -1,11 +1,15 @@
 """Newton-graph predicates and self-duality."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import (build_chiral, build_efail_n2, build_grid4,
                       build_loop_map, build_sphere_n2)
 from newtonmaps import (EWitness, check_degree_bounds, check_e_property,
-                        is_newton, is_self_dual, self_duality)
+                        euler_characteristic, facial_walks, is_newton,
+                        is_self_dual, iter_candidates, self_duality)
+from test_properties import pool
 
 
 def test_n2_is_newton(n2):
@@ -69,7 +73,7 @@ def test_wrong_order_is_not_newton(case1):
 
 def test_invalid_map_short_circuits():
     from newtonmaps import EmbeddedMap
-    bad = EmbeddedMap(("u",), ("a",), (0, 1), (0, 1), ("u", "u"))
+    bad = EmbeddedMap(("u",), ("a",), (0, 1), ("u", "u"))
     rep = is_newton(bad, 1)
     assert not rep.connected
     assert rep.verdict == "not-newton"
@@ -116,3 +120,27 @@ def test_self_duality_requires_newton_verdict():
         self_duality(build_sphere_n2())
     with pytest.raises(ValueError, match="e-only"):
         is_self_dual(build_grid4())
+
+
+def test_is_newton_agrees_with_public_checks():
+    """The one-trace is_newton matches the separately validating checks."""
+    # at order 3 the connectivity filter removes nothing, so pool(3) is the
+    # require_connected=False stream too (pinned by test_candidate_counts)
+    for order, maps in ((2, iter_candidates(2, require_connected=False)),
+                        (3, pool(3))):
+        tally = Counter()
+        for m in maps:
+            rep = is_newton(m, order)
+            assert rep.e_property == check_e_property(m)
+            assert rep.degree_bounds == check_degree_bounds(m, order)
+            counts = (m.order == order and m.n_edges == 2 * order
+                      and len(facial_walks(m)) == order)
+            assert rep.cellular_toroidal == (euler_characteristic(m) == 0
+                                             and counts)
+            stages = (True, rep.cellular_toroidal, rep.e_property.holds,
+                      rep.degree_bounds, rep.verdict == "newton")
+            for i, passed in enumerate(stages):
+                if not passed:
+                    break
+                tally[i] += 1
+    assert [tally[i] for i in range(5)] == [9432, 6076, 1372, 1372, 1372]
