@@ -8,9 +8,8 @@ graphs of orders 2 and 3 on the torus.
 
 __version__ = "0.1.0"
 
-from .canon import (CanonicalKey, IsoResult, SizeGuardError, WitnessError,
-                    are_equivalent, brute_force_iso, canonical_form,
-                    canonical_key)
+from .canon import (CanonicalKey, IsoResult, WitnessError, are_equivalent,
+                    canonical_form, canonical_key)
 from .duality import PGraph, RefinedMap, abstract_p_graph, dual, refinement
 from .embedded_map import (Defect, EmbeddedMap, FacialWalk, MapStructureError,
                            ValidationReport, WalkGluingError, degree_sequence,
@@ -33,12 +32,11 @@ __all__ = [
     "ClassificationReport", "Defect", "EPropertyReport", "EWitness",
     "EmbeddedMap", "FacialWalk", "IsoResult", "LabelAssignment",
     "MapStructureError", "NewtonReport", "PGraph", "ParseError", "RefinedMap",
-    "SelfDuality", "SizeGuardError", "Stratum", "UnsupportedOrderError",
-    "ValidationReport", "WalkGluingError", "WitnessError", "abstract_p_graph",
-    "are_equivalent", "atlas_from_jsonl", "atlas_to_jsonl", "brute_force_iso",
-    "canonical_form", "canonical_key", "check_degree_bounds",
-    "check_e_property", "classify", "degree_sequence", "dual",
-    "enumerate_newton", "euler_characteristic", "face_degree_sequence",
+    "SelfDuality", "Stratum", "UnsupportedOrderError", "ValidationReport",
+    "WalkGluingError", "WitnessError", "abstract_p_graph", "are_equivalent",
+    "atlas_from_jsonl", "atlas_to_jsonl", "canonical_form", "canonical_key",
+    "check_degree_bounds", "check_e_property", "classify", "degree_sequence",
+    "dual", "enumerate_newton", "euler_characteristic", "face_degree_sequence",
     "facial_walks", "genus", "is_newton", "is_self_dual", "iter_candidates",
     "label_atlas", "make_map", "map_from_facial_walks", "map_to_dot",
     "map_to_json_dict", "match_paper_atlas", "mirror", "parse", "refinement",

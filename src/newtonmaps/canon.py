@@ -16,15 +16,8 @@ from typing import Optional
 from .embedded_map import EmbeddedMap, MapStructureError, make_map, validate
 
 
-class SizeGuardError(ValueError):
-    """Brute-force search refused: the map is too large for it to be honest."""
-
-
 class WitnessError(RuntimeError):
     """An equivalence witness failed its own check: an internal fault."""
-
-
-_BRUTE_FORCE_DART_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -118,10 +111,12 @@ def canonical_form(m: EmbeddedMap, allow_reflection: bool = True) -> EmbeddedMap
     so every member of the class yields the identical map object.  In the
     reflection-allowed sense the representative may be the mirror of m.
     """
-    if not validate(m).ok:
-        raise MapStructureError("cannot canonicalize an invalid map")
-    trace, _, _ = _best_trace_sided(m, allow_reflection)
-    n = m.n_darts
+    return _map_from_trace(canonical_key(m, allow_reflection).trace)
+
+
+def _map_from_trace(trace: tuple[int, ...]) -> EmbeddedMap:
+    """The map a canonical trace describes, named as canonical_form does."""
+    n = len(trace) // 2
     sigma = tuple(trace[2 * i] for i in range(n))
     alpha = tuple(trace[2 * i + 1] for i in range(n))
 
@@ -196,48 +191,3 @@ def are_equivalent(a: EmbeddedMap, b: EmbeddedMap,
         if f[a.sigma[d]] != target[f[d]] or f[d ^ 1] != f[d] ^ 1:
             raise WitnessError(f"equivalence witness fails at dart {d}")
     return IsoResult(True, f, reflected)
-
-
-def _propagate(sigma_a, sigma_b, anchor_image: int) -> bool:
-    n = len(sigma_a)
-    inv_a = _invert(tuple(sigma_a))
-    inv_b = _invert(tuple(sigma_b))
-    f = [-1] * n
-    f[0] = anchor_image
-    stack = [0]
-    while stack:
-        d = stack.pop()
-        for src, dst in ((sigma_a[d], sigma_b[f[d]]),
-                         (inv_a[d], inv_b[f[d]]),
-                         (d ^ 1, f[d] ^ 1)):
-            if f[src] == -1:
-                f[src] = dst
-                stack.append(src)
-            elif f[src] != dst:
-                return False
-    if -1 in f or len(set(f)) != n:
-        return False
-    return all(f[sigma_a[d]] == sigma_b[f[d]] and f[d ^ 1] == f[d] ^ 1
-               for d in range(n))
-
-
-def brute_force_iso(a: EmbeddedMap, b: EmbeddedMap,
-                    allow_reflection: bool = True) -> bool:
-    """Reference equivalence test by anchored exhaustive propagation.
-
-    Independent of the canonical key machinery; guarded to small maps so
-    it stays an oracle rather than an attractive nuisance.
-    """
-    if max(a.n_darts, b.n_darts) > _BRUTE_FORCE_DART_LIMIT:
-        raise SizeGuardError(
-            f"brute force limited to {_BRUTE_FORCE_DART_LIMIT} darts")
-    if a.n_darts != b.n_darts:
-        return False
-    targets = [b.sigma]
-    if allow_reflection:
-        targets.append(_invert(b.sigma))
-    for sb in targets:
-        for t in range(b.n_darts):
-            if _propagate(a.sigma, sb, t):
-                return True
-    return False

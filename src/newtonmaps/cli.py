@@ -17,8 +17,7 @@ from pathlib import Path
 from . import __version__
 from .canon import WitnessError, are_equivalent, canonical_key
 from .duality import abstract_p_graph, dual, refinement
-from .embedded_map import (EmbeddedMap, MapStructureError, euler_characteristic,
-                           facial_walks, genus, validate)
+from .embedded_map import EmbeddedMap, MapStructureError, facial_walks, validate
 from .enumeration import (ClassificationMismatchError, UnsupportedOrderError,
                           atlas_from_jsonl, atlas_to_jsonl, classify,
                           enumerate_newton, label_atlas, report_to_json,
@@ -75,10 +74,13 @@ def _walk_text(w) -> str:
 def cmd_faces(args) -> int:
     m = _load(args.file)
     walks = facial_walks(m)
+    # facial_walks validated m, so chi is that of a closed orientable surface
+    chi = m.order - m.n_edges + len(walks)
+    genus = (2 - chi) // 2
     if args.format == "json":
         _emit_json({
-            "euler_characteristic": euler_characteristic(m),
-            "genus": genus(m),
+            "euler_characteristic": chi,
+            "genus": genus,
             "face_degrees": sorted((w.length for w in walks), reverse=True),
             "walks": [{"face": f"f{i + 1}", "length": w.length,
                        "steps": [[str(v), str(e)]
@@ -88,8 +90,7 @@ def cmd_faces(args) -> int:
     else:
         for i, w in enumerate(walks):
             print(f"f{i + 1} (length {w.length}): {_walk_text(w)}")
-        print(f"faces {len(walks)}  chi {euler_characteristic(m)}  "
-              f"genus {genus(m)}")
+        print(f"faces {len(walks)}  chi {chi}  genus {genus}")
     return 0
 
 
@@ -316,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("classify", help="enumerate and classify an order")
     s.add_argument("--order", type=int, required=True)
-    s.add_argument("--jobs", type=int, default=None,
-                   help="worker processes, at most one per CPU "
-                        "(default: NEWTON_ATLAS_JOBS or 1)")
+    s.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per CPU (default: 1)")
     s.add_argument("--out", help="directory for atlas and report files")
     _add_format(s)
     s.set_defaults(func=cmd_classify)

@@ -16,6 +16,7 @@ continues with sigma(alpha(d)).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -253,7 +254,7 @@ def validate(m: EmbeddedMap) -> ValidationReport:
             defects.append(Defect("loop-present",
                                   f"edge {m.edges[k]!r} is a loop", advisory=True))
             break
-    if any(m.degree(v) == 1 for v in m.vertices):
+    if 1 in Counter(m.dart_origin).values():
         defects.append(Defect("degree-one-vertex",
                               "a vertex has degree 1", advisory=True))
     return ValidationReport(ok, tuple(defects))

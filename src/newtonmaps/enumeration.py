@@ -26,10 +26,10 @@ from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
-from .canon import CanonicalKey, canonical_form, canonical_key, _edge_label
+from .canon import CanonicalKey, canonical_key, _edge_label, _map_from_trace
 from .duality import dual
 from .embedded_map import (EmbeddedMap, degree_sequence, face_degree_sequence,
-                           facial_walks, validate)
+                           facial_walks, mirror, validate)
 from .mapdoc import parse, serialize
 from .newton import is_newton
 
@@ -149,55 +149,44 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
     yield from rec(0, [0] * n)
 
 
-def iter_candidates(order: int, min_degree: int = 2,
-                    require_connected: bool = True) -> Iterator[EmbeddedMap]:
+def iter_candidates(order: int) -> Iterator[EmbeddedMap]:
     """The raw candidate stream the classifier filters.
 
     Yields every rotation system over every admissible multiplicity
-    vector; with require_connected (the default) maps whose surface
-    would be disconnected are skipped, since they embed in no single
-    closed surface.
+    vector, skipping maps whose surface would be disconnected, since
+    they embed in no single closed surface.
     """
     if order < 2:
         raise UnsupportedOrderError(f"order {order} < 2 has no Newton graphs")
-    for mult in _multiplicity_vectors(order, min_degree):
+    for mult in _multiplicity_vectors(order, 2):
         for m in _vector_candidates(order, mult):
-            if require_connected and not validate(m).ok:
-                continue
-            yield m
+            if validate(m).ok:
+                yield m
 
 
-def _scan_vector(args) -> dict:
-    """Worker: classes found in one multiplicity vector's rotation systems.
+def _scan_vector(args) -> set:
+    """Worker: reflection-allowed key traces of one vector's Newton maps.
 
-    Returns refl-key-hex -> (sorted op key hexes, canonical document).
-    Both components are label-free functions of the class, so merging
-    results from any partition of the vectors is associative.
+    Keys carry no labels, so the union of the results of any partition
+    of the vectors is the same set.
     """
-    order, mult, min_degree = args
-    found: dict[str, tuple[set, Optional[str]]] = {}
+    order, mult = args
+    found = set()
     for m in _vector_candidates(order, mult):
         if not validate(m).ok:
             continue
         if is_newton(m, order).verdict == "not-newton":
             continue
-        kr = canonical_key(m, True).hex()
-        ko = canonical_key(m, False).hex()
-        if kr not in found:
-            found[kr] = (set(), serialize(canonical_form(m, True)))
-        found[kr][0].add(ko)
-    return {k: (sorted(ops), doc) for k, (ops, doc) in found.items()}
+        found.add(canonical_key(m, True).trace)
+    return found
 
 
-def _resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
+def _resolve_jobs(jobs: int, n_tasks: int) -> int:
     """Worker count: the request, at most one per CPU and one per task."""
-    if jobs is None:
-        jobs = int(os.environ.get("NEWTON_ATLAS_JOBS", "1") or 1)
     return max(1, min(jobs, os.cpu_count() or 1, n_tasks))
 
 
-def enumerate_newton(order: int, jobs: Optional[int] = None,
-                     min_degree: int = 2) -> tuple[AtlasEntry, ...]:
+def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
     """All Newton maps of the given order, one atlas entry per class.
 
     Orders 2 and 3 are fully certified; for order >= 4 the angle
@@ -210,10 +199,8 @@ def enumerate_newton(order: int, jobs: Optional[int] = None,
     if order >= 4:
         warnings.warn(f"order {order}: angle condition unavailable; "
                       "running in e-only mode", stacklevel=2)
-    tasks = [(order, mult, min_degree)
-             for mult in _multiplicity_vectors(order, min_degree)]
+    tasks = [(order, mult) for mult in _multiplicity_vectors(order, 2)]
     jobs = _resolve_jobs(jobs, len(tasks))
-    merged: dict[str, tuple[set, str]] = {}
     if jobs == 1:
         results = map(_scan_vector, tasks)
     else:
@@ -222,20 +209,14 @@ def enumerate_newton(order: int, jobs: Optional[int] = None,
             results = list(pool.map(_scan_vector, tasks))
         finally:
             pool.shutdown()
-    for part in results:
-        for kr, (ops, doc) in part.items():
-            if kr in merged:
-                merged[kr][0].update(ops)
-            else:
-                merged[kr] = (set(ops), doc)
+    traces = set().union(*results)
 
     verdict = "newton" if order <= 3 else "e-only"
     entries = []
-    for kr_hex in sorted(merged):
-        ops, doc = merged[kr_hex]
-        rep = parse(doc)
+    for trace in sorted(traces):
+        rep = _map_from_trace(trace)
         key = canonical_key(rep, True)
-        if key.hex() != kr_hex:
+        if key.trace != trace:
             raise ClassificationMismatchError("canonical representative drifted")
         delta_star = face_degree_sequence(rep)
         max_face = delta_star[0]
@@ -248,12 +229,15 @@ def enumerate_newton(order: int, jobs: Optional[int] = None,
         d = dual(rep)
         dual_key = canonical_key(d, True)
         key_op = canonical_key(rep, False)
+        # every rotation system is a candidate and mirroring keeps the Newton
+        # conditions, so the class's OP classes are those of rep and its mirror
+        op_forms = 1 if canonical_key(mirror(rep), False) == key_op else 2
         entries.append(AtlasEntry(
             order=order,
             key=key,
             key_op=key_op,
             representative=rep,
-            representative_doc=doc,
+            representative_doc=serialize(rep),
             delta=degree_sequence(rep),
             delta_star=delta_star,
             max_face=max_face,
@@ -261,7 +245,7 @@ def enumerate_newton(order: int, jobs: Optional[int] = None,
             self_dual=(dual_key == key),
             self_dual_op=(canonical_key(d, False) == key_op),
             dual_key=dual_key,
-            op_forms=len(ops),
+            op_forms=op_forms,
             verdict=verdict,
         ))
     return tuple(entries)

@@ -4,6 +4,8 @@ Deliberately avoids the package's permutation machinery: facial walks
 are recomputed straight from document text via rotation lists and the
 corner rule (arrive on an edge-end, leave on its anti-clockwise
 successor), so agreement with the package is a genuine two-path check.
+Map equivalence is decided by anchored exhaustive propagation, without
+the canonical keys.
 """
 
 from __future__ import annotations
@@ -78,3 +80,61 @@ def cyclic_normal(seq) -> tuple:
 
 def circuit_multiset(circuits) -> tuple:
     return tuple(sorted(cyclic_normal(c) for c in circuits))
+
+
+class SizeGuardError(ValueError):
+    """Brute-force search refused: the map is too large for it to be honest."""
+
+
+_BRUTE_FORCE_DART_LIMIT = 16
+
+
+def _inverse(p) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _propagate(sigma_a, sigma_b, anchor_image: int) -> bool:
+    n = len(sigma_a)
+    inv_a = _inverse(sigma_a)
+    inv_b = _inverse(sigma_b)
+    f = [-1] * n
+    f[0] = anchor_image
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        for src, dst in ((sigma_a[d], sigma_b[f[d]]),
+                         (inv_a[d], inv_b[f[d]]),
+                         (d ^ 1, f[d] ^ 1)):
+            if f[src] == -1:
+                f[src] = dst
+                stack.append(src)
+            elif f[src] != dst:
+                return False
+    if -1 in f or len(set(f)) != n:
+        return False
+    return all(f[sigma_a[d]] == sigma_b[f[d]] and f[d ^ 1] == f[d] ^ 1
+               for d in range(n))
+
+
+def brute_force_iso(a, b, allow_reflection: bool = True) -> bool:
+    """Reference equivalence test by anchored exhaustive propagation.
+
+    Independent of the canonical key machinery; guarded to small maps so
+    it stays an oracle rather than an attractive nuisance.
+    """
+    if max(a.n_darts, b.n_darts) > _BRUTE_FORCE_DART_LIMIT:
+        raise SizeGuardError(
+            f"brute force limited to {_BRUTE_FORCE_DART_LIMIT} darts")
+    if a.n_darts != b.n_darts:
+        return False
+    targets = [b.sigma]
+    if allow_reflection:
+        targets.append(_inverse(b.sigma))
+    for sb in targets:
+        for t in range(b.n_darts):
+            if _propagate(a.sigma, sb, t):
+                return True
+    return False

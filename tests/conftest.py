@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from newtonmaps import enumerate_newton, label_atlas, make_map, parse
+from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -35,6 +36,12 @@ def atlas2():
 @pytest.fixture(scope="session")
 def atlas3():
     return label_atlas(enumerate_newton(3))
+
+
+def raw_candidates(order: int):
+    """Every rotation system of the degree-pruned vectors, connected or not."""
+    for mult in _multiplicity_vectors(order, 2):
+        yield from _vector_candidates(order, mult)
 
 
 def build_sphere_n2():

@@ -18,11 +18,12 @@ import subprocess
 import sys
 import time
 
+from _oracle import brute_force_iso
 from conftest import FIXTURES, ROOT, fixture_text
-from newtonmaps import (are_equivalent, brute_force_iso, canonical_key,
-                        check_e_property, classify, dual, enumerate_newton,
-                        facial_walks, is_newton, mirror, parse, refinement,
-                        relabel, strata_check)
+from newtonmaps import (are_equivalent, canonical_key, check_e_property,
+                        classify, dual, enumerate_newton, facial_walks,
+                        is_newton, mirror, parse, refinement, relabel,
+                        strata_check)
 from test_properties import pool
 
 

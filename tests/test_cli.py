@@ -1,7 +1,6 @@
 """Command-line behavior, exit codes, and golden output files."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -9,7 +8,7 @@ import pytest
 
 from conftest import (FIXTURES, ROOT, build_chiral, build_efail_n2,
                       build_sphere_n2)
-from newtonmaps import make_map, mirror, serialize
+from newtonmaps import cli, embedded_map, make_map, mirror, serialize
 from test_canon import N2_KEY_HEX
 from test_duality import CASE1_DUAL_DOC
 
@@ -18,13 +17,10 @@ CASE1 = str(FIXTURES / "case1.map")
 CASE3 = str(FIXTURES / "case3.map")
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "newtonmaps", *args],
-        capture_output=True, text=True, cwd=ROOT, env=env)
+        capture_output=True, text=True, cwd=ROOT)
 
 
 @pytest.fixture(scope="session")
@@ -114,6 +110,17 @@ def test_faces_json():
     assert payload["face_degrees"] == [6, 3, 3]
     assert payload["walks"][0]["face"] == "f1"
     assert payload["walks"][0]["steps"][0] == ["v1", "a"]
+
+
+def test_faces_traces_once(monkeypatch, capsys):
+    calls = []
+    trace = embedded_map._trace_faces
+    monkeypatch.setattr(embedded_map, "_trace_faces",
+                        lambda m: calls.append(m) or trace(m))
+    assert cli.main(["faces", CASE1, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["euler_characteristic"], payload["genus"]) == (0, 1)
+    assert len(calls) == 1
 
 
 def test_faces_refuses_invalid_map(docs):
@@ -274,14 +281,6 @@ def test_classify_order3_golden_files(tmp_path):
         FIXTURES / "atlas_order3.jsonl").read_text()
     assert (tmp_path / "classification_order3.json").read_text() == (
         FIXTURES / "classification_order3.json").read_text()
-
-
-def test_classify_env_jobs(tmp_path):
-    r = run_cli("classify", "--order", "2", "--out", str(tmp_path),
-                env_extra={"NEWTON_ATLAS_JOBS": "2"})
-    assert r.returncode == 0
-    assert (tmp_path / "atlas_order2.jsonl").read_text() == (
-        FIXTURES / "atlas_order2.jsonl").read_text()
 
 
 def test_classify_unsupported_order():

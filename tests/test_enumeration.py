@@ -7,15 +7,17 @@ from collections import Counter
 
 import pytest
 
-from conftest import FIXTURES, build_chiral
+from _oracle import brute_force_iso
+from conftest import FIXTURES, build_chiral, raw_candidates
 from newtonmaps import (ClassificationMismatchError, Stratum,
                         UnsupportedOrderError, atlas_from_jsonl,
-                        atlas_to_jsonl, brute_force_iso, canonical_key,
-                        classify, enumerate_newton, facial_walks, is_newton,
+                        atlas_to_jsonl, canonical_key, classify,
+                        enumerate_newton, facial_walks, is_newton,
                         iter_candidates, label_atlas, match_paper_atlas, parse,
                         report_to_json, serialize, strata_check, validate,
                         verify_atlas)
-from newtonmaps.enumeration import _multiplicity_vectors, _resolve_jobs
+from newtonmaps.enumeration import (_multiplicity_vectors, _resolve_jobs,
+                                    _vector_candidates)
 
 # every class of the order-3 table, as
 # (delta_star, delta, self_dual, self_dual_op, op_forms) with multiplicity
@@ -49,9 +51,9 @@ ORDER3_LABELS = Counter({
 
 
 def test_candidate_counts():
-    assert len(list(iter_candidates(2, require_connected=False))) == 36
+    assert len(list(raw_candidates(2))) == 36
     assert len(list(iter_candidates(2))) == 36
-    all3 = list(iter_candidates(3, require_connected=False))
+    all3 = list(raw_candidates(3))
     assert len(all3) == 9432
     # min degree 2 on three vertices leaves no room for a disconnected map
     assert len(list(iter_candidates(3))) == 9432
@@ -271,8 +273,6 @@ def test_resolve_jobs_is_clamped(monkeypatch):
     assert _resolve_jobs(10**6, 1) == 1
     assert _resolve_jobs(0, 19) == 1
     assert _resolve_jobs(-5, 0) == 1
-    monkeypatch.setenv("NEWTON_ATLAS_JOBS", str(10**6))
-    assert _resolve_jobs(None, 19) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _resolve_jobs(10**6, 19) == 1
 
@@ -281,10 +281,13 @@ def test_parallel_enumeration_matches(atlas2):
     assert atlas_to_jsonl(enumerate_newton(2, jobs=2)) == atlas_to_jsonl(atlas2)
 
 
-def test_unpruned_enumeration_matches(atlas3):
-    # dropping the degree pruning only adds rejected candidates
-    assert atlas_to_jsonl(label_atlas(enumerate_newton(3, min_degree=1))) == \
-        atlas_to_jsonl(atlas3)
+def test_degree_pruning_loses_no_newton_map():
+    # the vectors that the degree-2 pruning drops hold no Newton map
+    dropped = set(_multiplicity_vectors(3, 1)) - set(_multiplicity_vectors(3, 2))
+    assert len(dropped) == 6
+    maps = [m for mult in sorted(dropped) for m in _vector_candidates(3, mult)]
+    assert len(maps) == 17280
+    assert all(is_newton(m, 3).verdict == "not-newton" for m in maps)
 
 
 def test_unsupported_orders():

@@ -5,10 +5,10 @@ from collections import Counter
 import pytest
 
 from conftest import (build_chiral, build_efail_n2, build_grid4,
-                      build_loop_map, build_sphere_n2)
+                      build_loop_map, build_sphere_n2, raw_candidates)
 from newtonmaps import (EWitness, check_degree_bounds, check_e_property,
                         euler_characteristic, facial_walks, is_newton,
-                        is_self_dual, iter_candidates, self_duality)
+                        is_self_dual, self_duality)
 from test_properties import pool
 
 
@@ -125,9 +125,8 @@ def test_self_duality_requires_newton_verdict():
 def test_is_newton_agrees_with_public_checks():
     """The one-trace is_newton matches the separately validating checks."""
     # at order 3 the connectivity filter removes nothing, so pool(3) is the
-    # require_connected=False stream too (pinned by test_candidate_counts)
-    for order, maps in ((2, iter_candidates(2, require_connected=False)),
-                        (3, pool(3))):
+    # raw stream too (pinned by test_candidate_counts)
+    for order, maps in ((2, raw_candidates(2)), (3, pool(3))):
         tally = Counter()
         for m in maps:
             rep = is_newton(m, order)
