@@ -177,6 +177,8 @@ def are_equivalent(a: EmbeddedMap, b: EmbeddedMap,
     f(sigma(d)) = sigma_b(f(d)) or, when reflected, f(sigma(d)) =
     sigma_b^{-1}(f(d)).
     """
+    if not (validate(a).ok and validate(b).ok):
+        raise MapStructureError("cannot compare an invalid map")
     if a.n_darts != b.n_darts:
         return IsoResult(False)
     ta, order_a, mir_a = _best_trace_sided(a, allow_reflection)

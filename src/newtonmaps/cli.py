@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .canon import WitnessError, are_equivalent, canonical_key
 from .duality import abstract_p_graph, dual, refinement
-from .embedded_map import EmbeddedMap, MapStructureError, facial_walks, validate
+from .embedded_map import (EmbeddedMap, MapStructureError, euler_characteristic,
+                           facial_walks, genus, validate)
 from .enumeration import (ClassificationMismatchError, UnsupportedOrderError,
                           atlas_from_jsonl, atlas_to_jsonl, classify,
                           enumerate_newton, label_atlas, report_to_json,
@@ -32,6 +34,17 @@ def _load(path: str) -> EmbeddedMap:
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace path's content with text in one step, or leave it as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sense(args) -> bool:
@@ -74,13 +87,11 @@ def _walk_text(w) -> str:
 def cmd_faces(args) -> int:
     m = _load(args.file)
     walks = facial_walks(m)
-    # facial_walks validated m, so chi is that of a closed orientable surface
-    chi = m.order - m.n_edges + len(walks)
-    genus = (2 - chi) // 2
+    chi, g = euler_characteristic(m), genus(m)
     if args.format == "json":
         _emit_json({
             "euler_characteristic": chi,
-            "genus": genus,
+            "genus": g,
             "face_degrees": sorted((w.length for w in walks), reverse=True),
             "walks": [{"face": f"f{i + 1}", "length": w.length,
                        "steps": [[str(v), str(e)]
@@ -90,14 +101,14 @@ def cmd_faces(args) -> int:
     else:
         for i, w in enumerate(walks):
             print(f"f{i + 1} (length {w.length}): {_walk_text(w)}")
-        print(f"faces {len(walks)}  chi {chi}  genus {genus}")
+        print(f"faces {len(walks)}  chi {chi}  genus {g}")
     return 0
 
 
 def cmd_dual(args) -> int:
     text = serialize(dual(_load(args.file)))
     if args.out:
-        Path(args.out).write_text(text)
+        _write_atomic(Path(args.out), text)
     else:
         print(text, end="")
     return 0
@@ -207,10 +218,10 @@ def cmd_classify(args) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"atlas_order{args.order}.jsonl").write_text(
-            atlas_to_jsonl(entries))
-        (outdir / f"classification_order{args.order}.json").write_text(
-            report_to_json(report))
+        _write_atomic(outdir / f"atlas_order{args.order}.jsonl",
+                      atlas_to_jsonl(entries))
+        _write_atomic(outdir / f"classification_order{args.order}.json",
+                      report_to_json(report))
     if args.format == "json":
         _emit_json(report_to_json_dict(report))
     else:

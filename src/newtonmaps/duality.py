@@ -15,10 +15,6 @@ from .embedded_map import (EmbeddedMap, FacialWalk, MapStructureError,
                            facial_walks, make_map)
 
 
-def _face_labels(walks) -> tuple[str, ...]:
-    return tuple(f"f{i + 1}" for i in range(len(walks)))
-
-
 def dual(m: EmbeddedMap) -> EmbeddedMap:
     """The dual map on the same dart set; dual(dual(m)) == m up to face names.
 
@@ -27,7 +23,7 @@ def dual(m: EmbeddedMap) -> EmbeddedMap:
     edge tuple is carried over unchanged.
     """
     walks = facial_walks(m)
-    labels = _face_labels(walks)
+    labels = tuple(f"f{i + 1}" for i in range(len(walks)))
     n = m.n_darts
     origin: list = [None] * n
     for lab, w in zip(labels, walks):
@@ -142,17 +138,12 @@ class PGraph:
 
 
 def abstract_p_graph(m: EmbeddedMap) -> PGraph:
-    walks = facial_walks(m)
-    _require_no_repeated_edge(walks)
-    labels = _face_labels(walks)
-    face_of = {}
-    for lab, w in zip(labels, walks):
-        for d in w.darts:
-            face_of[d] = lab
+    _require_no_repeated_edge(facial_walks(m))
+    star = dual(m)
     arcs = []
     for d in range(m.n_darts):
         arcs.append(((1, m.dart_origin[d]), (2, m.edge_of(d))))
     for d in range(m.n_darts):
-        arcs.append(((2, m.edge_of(d)), (3, face_of[d])))
+        arcs.append(((2, m.edge_of(d)), (3, star.dart_origin[d])))
     return PGraph(level1=tuple(m.vertices), level2=tuple(m.edges),
-                  level3=labels, arcs=tuple(arcs))
+                  level3=star.vertices, arcs=tuple(arcs))

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -72,13 +73,23 @@ class EmbeddedMap:
 
     vertices and edges are identifier tuples in display order; dart_origin
     maps each dart to the vertex it emanates from.  The edge pairing alpha
-    is the derived property d -> d ^ 1.
+    is the derived property d -> d ^ 1.  The fields are immutable, so the
+    validation report and the facial walks are computed at most once per
+    map and kept out of equality, hashing and repr.
     """
 
     vertices: tuple
     edges: tuple
     sigma: tuple[int, ...]
     dart_origin: tuple
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return _structure_report(self)
+
+    @cached_property
+    def _walks(self) -> tuple[FacialWalk, ...]:
+        return _trace_faces(self)
 
     @property
     def alpha(self) -> tuple[int, ...]:
@@ -202,6 +213,10 @@ def _cycle_count(perm) -> int:
 
 
 def validate(m: EmbeddedMap) -> ValidationReport:
+    return m._report
+
+
+def _structure_report(m: EmbeddedMap) -> ValidationReport:
     defects: list[Defect] = []
     n = m.n_darts
 
@@ -274,11 +289,10 @@ def facial_walks(m: EmbeddedMap) -> tuple[FacialWalk, ...]:
     Walks are listed by their smallest dart; each walk's dart list starts
     at that dart, so the output is fully determined by sigma.
     """
-    return _trace_faces(_checked(m))
+    return _checked(m)._walks
 
 
 def _trace_faces(m: EmbeddedMap) -> tuple[FacialWalk, ...]:
-    """facial_walks without validation, for callers holding a valid map."""
     walks = []
     seen = [False] * m.n_darts
     for d0 in range(m.n_darts):

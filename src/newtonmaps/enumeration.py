@@ -30,7 +30,7 @@ from .canon import CanonicalKey, canonical_key, _edge_label, _map_from_trace
 from .duality import dual
 from .embedded_map import (EmbeddedMap, degree_sequence, face_degree_sequence,
                            facial_walks, mirror, validate)
-from .mapdoc import parse, serialize
+from .mapdoc import ParseError, parse, serialize
 from .newton import is_newton
 
 
@@ -401,28 +401,34 @@ def _key_from_hex(hexstr: str, allow_reflection: bool) -> CanonicalKey:
 
 def atlas_from_jsonl(text: str) -> tuple[AtlasEntry, ...]:
     entries = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        entries.append(AtlasEntry(
-            order=rec["order"],
-            key=_key_from_hex(rec["key"], True),
-            key_op=_key_from_hex(rec["key_op"], False),
-            representative=parse(rec["representative"]),
-            representative_doc=rec["representative"],
-            delta=tuple(rec["delta"]),
-            delta_star=tuple(rec["delta_star"]),
-            max_face=rec["max_face"],
-            vertex_pattern_on_max_face=tuple(rec["vertex_pattern_on_max_face"]),
-            self_dual=rec["self_dual"],
-            self_dual_op=rec["self_dual_op"],
-            dual_key=_key_from_hex(rec["dual_key"], True),
-            op_forms=rec["op_forms"],
-            verdict=rec["verdict"],
-            paper_label=rec.get("paper_label"),
-            label_ambiguous=rec.get("label_ambiguous", False),
-        ))
+        try:
+            rec = json.loads(line)
+            entries.append(AtlasEntry(
+                order=rec["order"],
+                key=_key_from_hex(rec["key"], True),
+                key_op=_key_from_hex(rec["key_op"], False),
+                representative=parse(rec["representative"]),
+                representative_doc=rec["representative"],
+                delta=tuple(rec["delta"]),
+                delta_star=tuple(rec["delta_star"]),
+                max_face=rec["max_face"],
+                vertex_pattern_on_max_face=tuple(
+                    rec["vertex_pattern_on_max_face"]),
+                self_dual=rec["self_dual"],
+                self_dual_op=rec["self_dual_op"],
+                dual_key=_key_from_hex(rec["dual_key"], True),
+                op_forms=rec["op_forms"],
+                verdict=rec["verdict"],
+                paper_label=rec.get("paper_label"),
+                label_ambiguous=rec.get("label_ambiguous", False),
+            ))
+        except KeyError as exc:
+            raise ParseError(f"atlas record lacks field {exc}", lineno) from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ParseError(f"bad atlas record: {exc}", lineno) from None
     return tuple(entries)
 
 

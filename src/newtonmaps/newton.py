@@ -19,7 +19,7 @@ from typing import Optional
 
 from .canon import canonical_key
 from .duality import dual
-from .embedded_map import EmbeddedMap, _trace_faces, facial_walks, validate
+from .embedded_map import EmbeddedMap, facial_walks, validate
 
 
 @dataclass(frozen=True)
@@ -45,27 +45,18 @@ def check_e_property(m: EmbeddedMap) -> EPropertyReport:
     by its own edges, so once no edge repeats, each walk is an Eulerian
     circuit of its boundary.
     """
-    return _e_property(facial_walks(m))
-
-
-def check_degree_bounds(m: EmbeddedMap, order: int) -> bool:
-    """Vertex and face degrees must lie in (1, 2r], with both sums 4r."""
-    return _degree_bounds(m, facial_walks(m), order)
-
-
-def _e_property(walks) -> EPropertyReport:
-    for i, w in enumerate(walks):
-        counts = Counter(w.edges)
-        for e, c in counts.items():
+    for i, w in enumerate(facial_walks(m)):
+        for e, c in Counter(w.edges).items():
             if c > 1:
                 return EPropertyReport(False, EWitness(i, e))
     return EPropertyReport(True)
 
 
-def _degree_bounds(m: EmbeddedMap, walks, order: int) -> bool:
+def check_degree_bounds(m: EmbeddedMap, order: int) -> bool:
+    """Vertex and face degrees must lie in (1, 2r], with both sums 4r."""
     hi = 2 * order
     degs = [m.degree(v) for v in m.vertices]
-    fdegs = [w.length for w in walks]
+    fdegs = [w.length for w in facial_walks(m)]
     return (all(1 < d <= hi for d in degs) and all(1 < d <= hi for d in fdegs)
             and sum(degs) == 4 * order and sum(fdegs) == 4 * order)
 
@@ -98,12 +89,11 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
                             EPropertyReport(False), False, status, "not-newton")
     loopless = all(m.dart_origin[2 * k] != m.dart_origin[2 * k + 1]
                    for k in range(m.n_edges))
-    walks = _trace_faces(m)
     # r vertices, 2r edges and r faces force characteristic 0
     toroidal = (m.order == order and m.n_edges == 2 * order
-                and len(walks) == order)
-    e_rep = _e_property(walks)
-    bounds = _degree_bounds(m, walks, order)
+                and len(facial_walks(m)) == order)
+    e_rep = check_e_property(m)
+    bounds = check_degree_bounds(m, order)
     if toroidal and loopless and e_rep.holds and bounds:
         verdict = "newton" if status != "unavailable" else "e-only"
     else:

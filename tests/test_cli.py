@@ -1,6 +1,7 @@
 """Command-line behavior, exit codes, and golden output files."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -198,6 +199,14 @@ def test_iso(docs):
     assert (r.returncode, r.stdout) == (1, "not-equivalent\n")
 
 
+def test_iso_refuses_invalid_map(docs):
+    disc = str(docs / "disc.map")
+    for a, b in ((disc, disc), (N2, disc)):
+        r = run_cli("iso", a, b)
+        assert r.returncode == 3
+        assert r.stderr.startswith("error:")
+
+
 def test_iso_broken_witness_exits_4_under_optimize():
     # the witness check must survive python -O, which strips asserts
     script = (
@@ -308,6 +317,40 @@ def test_atlas_audit_catches_corruption(tmp_path):
     garbage = tmp_path / "garbage.jsonl"
     garbage.write_text("not json\n")
     assert run_cli("atlas", str(garbage)).returncode == 3
+
+
+def _atlas_line(edit):
+    rec = json.loads((FIXTURES / "atlas_order2.jsonl").read_text())
+    return json.dumps(edit(rec))
+
+
+@pytest.mark.parametrize("bad", [
+    _atlas_line(lambda rec: {k: v for k, v in rec.items() if k != "key_op"}),
+    _atlas_line(lambda rec: list(rec)),
+    _atlas_line(lambda rec: {**rec, "delta": 5}),
+    _atlas_line(lambda rec: rec)[:-1],
+    _atlas_line(lambda rec: {**rec, "key": "zz"}),
+    _atlas_line(lambda rec: {**rec, "representative": 5}),
+], ids=["missing-key_op", "json-list", "delta-int", "malformed-json",
+        "bad-key-hex", "representative-int"])
+def test_atlas_refuses_malformed_record(tmp_path, bad):
+    path = tmp_path / "bad.jsonl"
+    path.write_text((FIXTURES / "atlas_order2.jsonl").read_text() + bad + "\n")
+    r = run_cli("atlas", str(path))
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: line 2:")
+
+
+def test_dual_out_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
+    target = tmp_path / "out.map"
+    target.write_text("old")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", fail)
+    assert cli.main(["dual", N2, "--out", str(target)]) == 3
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.map"]
 
 
 def test_export_formats():

@@ -7,8 +7,10 @@ import pytest
 from conftest import (build_efail_n2, build_loop_map, build_sphere_n2,
                       fixture_text)
 from newtonmaps import (EmbeddedMap, MapStructureError, WalkGluingError,
-                        are_equivalent, degree_sequence, euler_characteristic,
-                        face_degree_sequence, facial_walks, genus, make_map,
+                        are_equivalent, canonical_key, check_degree_bounds,
+                        check_e_property, degree_sequence, dual, embedded_map,
+                        euler_characteristic, face_degree_sequence,
+                        facial_walks, genus, is_newton, make_map,
                         map_from_facial_walks, mirror, parse, relabel, validate)
 from _oracle import circuit_multiset, euler_from_doc, walk_circuits
 
@@ -195,6 +197,29 @@ def test_facial_walks_require_valid_map():
         {"v1": ["a", "b"], "v2": ["a", "b"], "v3": ["c", "d"], "v4": ["c", "d"]})
     with pytest.raises(MapStructureError, match="disconnected"):
         facial_walks(m)
+
+
+def test_each_map_validates_and_traces_once(monkeypatch):
+    calls = {"_structure_report": 0, "_trace_faces": 0}
+    for name in calls:
+        real = getattr(embedded_map, name)
+
+        def counted(m, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(m)
+        monkeypatch.setattr(embedded_map, name, counted)
+    m = parse(fixture_text("case1.map"))
+    assert validate(m).ok
+    assert len(facial_walks(m)) == 3
+    assert is_newton(m, 3).verdict == "newton"
+    assert check_e_property(m) and check_degree_bounds(m, 3)
+    canonical_key(m)
+    assert (euler_characteristic(m), genus(m)) == (0, 1)
+    dual(m)
+    assert calls == {"_structure_report": 1, "_trace_faces": 1}
+    # the cached values stay out of equality, hashing and repr
+    fresh = parse(fixture_text("case1.map"))
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
 
 
 def test_genus_rejects_odd_characteristic(n2):
