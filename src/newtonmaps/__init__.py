@@ -9,37 +9,35 @@ graphs of orders 2 and 3 on the torus.
 __version__ = "0.1.0"
 
 from .canon import (CanonicalKey, IsoResult, WitnessError, are_equivalent,
-                    canonical_form, canonical_key)
+                    canonical_key)
 from .duality import PGraph, RefinedMap, abstract_p_graph, dual, refinement
 from .embedded_map import (Defect, EmbeddedMap, FacialWalk, MapStructureError,
-                           ValidationReport, WalkGluingError, degree_sequence,
-                           euler_characteristic, face_degree_sequence,
-                           facial_walks, genus, make_map, map_from_facial_walks,
+                           UnsuitableMapError, ValidationReport,
+                           degree_sequence, euler_characteristic,
+                           face_degree_sequence, facial_walks, genus, make_map,
                            mirror, relabel, validate)
 from .enumeration import (AtlasEntry, ClassificationMismatchError,
-                          ClassificationReport, LabelAssignment, Stratum,
-                          UnsupportedOrderError, atlas_from_jsonl,
-                          atlas_to_jsonl, classify, enumerate_newton,
-                          iter_candidates, label_atlas, match_paper_atlas,
-                          report_to_json, strata_check, verify_atlas)
+                          ClassificationReport, Stratum, UnsupportedOrderError,
+                          atlas_from_jsonl, atlas_to_jsonl, classify,
+                          enumerate_newton, label_atlas, report_to_json,
+                          strata_check, verify_atlas)
 from .mapdoc import ParseError, map_to_dot, map_to_json_dict, parse, serialize
 from .newton import (EPropertyReport, EWitness, NewtonReport, SelfDuality,
                      check_degree_bounds, check_e_property, is_newton,
-                     is_self_dual, self_duality)
+                     self_duality)
 
 __all__ = [
     "AtlasEntry", "CanonicalKey", "ClassificationMismatchError",
     "ClassificationReport", "Defect", "EPropertyReport", "EWitness",
-    "EmbeddedMap", "FacialWalk", "IsoResult", "LabelAssignment",
-    "MapStructureError", "NewtonReport", "PGraph", "ParseError", "RefinedMap",
-    "SelfDuality", "Stratum", "UnsupportedOrderError", "ValidationReport",
-    "WalkGluingError", "WitnessError", "abstract_p_graph", "are_equivalent",
-    "atlas_from_jsonl", "atlas_to_jsonl", "canonical_form", "canonical_key",
+    "EmbeddedMap", "FacialWalk", "IsoResult", "MapStructureError",
+    "NewtonReport", "PGraph", "ParseError", "RefinedMap", "SelfDuality",
+    "Stratum", "UnsuitableMapError", "UnsupportedOrderError",
+    "ValidationReport", "WitnessError", "abstract_p_graph", "are_equivalent",
+    "atlas_from_jsonl", "atlas_to_jsonl", "canonical_key",
     "check_degree_bounds", "check_e_property", "classify", "degree_sequence",
     "dual", "enumerate_newton", "euler_characteristic", "face_degree_sequence",
-    "facial_walks", "genus", "is_newton", "is_self_dual", "iter_candidates",
-    "label_atlas", "make_map", "map_from_facial_walks", "map_to_dot",
-    "map_to_json_dict", "match_paper_atlas", "mirror", "parse", "refinement",
+    "facial_walks", "genus", "is_newton", "label_atlas", "make_map",
+    "map_to_dot", "map_to_json_dict", "mirror", "parse", "refinement",
     "relabel", "report_to_json", "self_duality", "serialize", "strata_check",
     "validate", "verify_atlas",
 ]

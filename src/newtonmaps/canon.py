@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .embedded_map import EmbeddedMap, MapStructureError, make_map, validate
+from .embedded_map import (EmbeddedMap, MapStructureError, UnsuitableMapError,
+                           make_map, validate)
 
 
 class WitnessError(RuntimeError):
@@ -28,7 +29,7 @@ class CanonicalKey:
     def hex(self) -> str:
         # one byte per entry; dart counts beyond 255 are out of scope here
         if any(x > 0xFF for x in self.trace):
-            raise ValueError("trace entries exceed one byte")
+            raise UnsuitableMapError("trace entries exceed one byte")
         return bytes(self.trace).hex()
 
     def __lt__(self, other: "CanonicalKey") -> bool:
@@ -103,19 +104,14 @@ def canonical_key(m: EmbeddedMap, allow_reflection: bool = True) -> CanonicalKey
     return CanonicalKey(trace, allow_reflection)
 
 
-def canonical_form(m: EmbeddedMap, allow_reflection: bool = True) -> EmbeddedMap:
-    """The canonical representative of m's equivalence class.
-
-    Darts are renumbered into the canonical breadth-first order, vertices
-    become v1, v2, ... by first appearance and edges a, b, ... likewise,
-    so every member of the class yields the identical map object.  In the
-    reflection-allowed sense the representative may be the mirror of m.
-    """
-    return _map_from_trace(canonical_key(m, allow_reflection).trace)
-
-
 def _map_from_trace(trace: tuple[int, ...]) -> EmbeddedMap:
-    """The map a canonical trace describes, named as canonical_form does."""
+    """The map a canonical key's trace describes: its class representative.
+
+    Darts keep their canonical breadth-first numbers, vertices become v1,
+    v2, ... by first appearance and edges a, b, ... likewise, so every
+    member of a class yields the identical map object.  In the
+    reflection-allowed sense the representative may be a mirror image.
+    """
     n = len(trace) // 2
     sigma = tuple(trace[2 * i] for i in range(n))
     alpha = tuple(trace[2 * i + 1] for i in range(n))

@@ -18,8 +18,8 @@ from pathlib import Path
 from . import __version__
 from .canon import WitnessError, are_equivalent, canonical_key
 from .duality import abstract_p_graph, dual, refinement
-from .embedded_map import (EmbeddedMap, MapStructureError, euler_characteristic,
-                           facial_walks, genus, validate)
+from .embedded_map import (EmbeddedMap, MapStructureError, UnsuitableMapError,
+                           euler_characteristic, facial_walks, genus, validate)
 from .enumeration import (ClassificationMismatchError, UnsupportedOrderError,
                           atlas_from_jsonl, atlas_to_jsonl, classify,
                           enumerate_newton, label_atlas, report_to_json,
@@ -350,11 +350,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, MapStructureError,
-            UnsupportedOrderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ParseError, OSError, UnicodeDecodeError, MapStructureError,
+            UnsuitableMapError, UnsupportedOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ClassificationMismatchError, WitnessError) as exc:

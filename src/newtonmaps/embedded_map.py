@@ -19,19 +19,15 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 class MapStructureError(ValueError):
     """Raised when an operation receives a structurally invalid map."""
 
 
-class WalkGluingError(ValueError):
-    """Raised when a set of facial walks cannot be glued into an oriented map."""
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
+class UnsuitableMapError(ValueError):
+    """Raised when a valid map lies outside what an operation can take."""
 
 
 @dataclass(frozen=True)
@@ -375,111 +371,3 @@ def relabel(m: EmbeddedMap,
     return EmbeddedMap(m.vertices, tuple(m.edges[k] for k in edge_order),
                        tuple(sigma), tuple(origin))
 
-
-def _walk_steps(walk) -> list[tuple]:
-    if isinstance(walk, FacialWalk):
-        return list(zip(walk.vertices, walk.edges))
-    steps = [tuple(step) for step in walk]
-    if any(len(s) != 2 for s in steps):
-        raise WalkGluingError("malformed", "walk steps must be (vertex, edge) pairs")
-    return steps
-
-
-def map_from_facial_walks(walks: Iterable) -> EmbeddedMap:
-    """Glue closed walks into the unique oriented map having them as faces.
-
-    Each walk is a FacialWalk or a cyclic sequence of (vertex, edge) steps,
-    read clockwise around its face.  Every edge must appear exactly twice
-    over all walks; the two occurrences of a non-loop edge must run in
-    opposite directions, otherwise the gluing would be non-orientable.
-    The two sides of a loop are paired in encounter order.
-    """
-    polys = [_walk_steps(w) for w in walks]
-    if not polys or any(not p for p in polys):
-        raise WalkGluingError("empty", "no walks, or an empty walk")
-
-    occurrences: dict = {}
-    edge_order: list = []
-    for wi, steps in enumerate(polys):
-        for pos, (v, e) in enumerate(steps):
-            head = steps[(pos + 1) % len(steps)][0]
-            if e not in occurrences:
-                occurrences[e] = []
-                edge_order.append(e)
-            occurrences[e].append((wi, pos, v, head))
-
-    for e, occ in occurrences.items():
-        if len(occ) != 2:
-            raise WalkGluingError(
-                "edge-occurrence-count",
-                f"edge {e!r} occurs {len(occ)} time(s); need exactly 2")
-
-    dart_of = {}
-    origin = {}
-    for k, e in enumerate(edge_order):
-        (w1, p1, u1, h1), (w2, p2, u2, h2) = occurrences[e]
-        if u1 == h1 or u2 == h2:  # loop side(s)
-            if {u1, h1} != {u2, h2}:
-                raise WalkGluingError(
-                    "endpoint-conflict", f"edge {e!r} glued at differing vertices")
-        elif (u1, h1) == (u2, h2):
-            raise WalkGluingError(
-                "same-direction",
-                f"edge {e!r} traversed twice in the same direction; "
-                "gluing would not be orientable")
-        elif (u1, h1) != (h2, u2):
-            raise WalkGluingError(
-                "endpoint-conflict", f"edge {e!r} glued at differing vertices")
-        dart_of[(w1, p1)] = 2 * k
-        dart_of[(w2, p2)] = 2 * k + 1
-        origin[2 * k] = u1
-        origin[2 * k + 1] = u2
-
-    n = 2 * len(edge_order)
-    phi = [0] * n
-    for wi, steps in enumerate(polys):
-        for pos in range(len(steps)):
-            phi[dart_of[(wi, pos)]] = dart_of[(wi, (pos + 1) % len(steps))]
-    sigma = [0] * n
-    for d in range(n):
-        sigma[d ^ 1] = phi[d]  # sigma = phi o alpha
-
-    # each sigma cycle must carry one vertex label, and distinct cycles
-    # distinct labels, else the walks do not come from a single map
-    cycle_of = {}
-    seen = set()
-    n_cycles = 0
-    order_of_vertex = []
-    for d0 in range(n):
-        if d0 in seen:
-            continue
-        n_cycles += 1
-        label = origin[d0]
-        if label in cycle_of:
-            raise WalkGluingError(
-                "vertex-conflict",
-                f"vertex {label!r} appears in two unrelated rotations")
-        cycle_of[label] = d0
-        order_of_vertex.append(label)
-        d = d0
-        while d not in seen:
-            seen.add(d)
-            if origin[d] != label:
-                raise WalkGluingError(
-                    "vertex-conflict",
-                    f"rotation at {label!r} mixes in vertex {origin[d]!r}")
-            d = sigma[d]
-
-    result = EmbeddedMap(
-        vertices=tuple(order_of_vertex),
-        edges=tuple(edge_order),
-        sigma=tuple(sigma),
-        dart_origin=tuple(origin[d] for d in range(n)),
-    )
-    report = validate(result)
-    if any(d.code == "disconnected" for d in report.defects):
-        raise WalkGluingError("disconnected", "walks glue into a disconnected surface")
-    if not report.ok:
-        codes = ", ".join(d.code for d in report.defects if not d.advisory)
-        raise WalkGluingError("inconsistent", f"glued map invalid: {codes}")
-    return result

@@ -11,8 +11,8 @@ passes; classes are formed under reflection-allowed equivalence, with
 the orientation-preserving refinement recorded per class.
 
 Everything downstream of the candidate stream is deterministic: class
-representatives are canonical forms, so the atlas bytes do not depend on
-enumeration order or worker count.
+representatives are decoded from their canonical keys, so the atlas
+bytes do not depend on enumeration order or worker count.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class AtlasEntry:
     order: int
     key: CanonicalKey            # reflection-allowed
     key_op: CanonicalKey         # orientation-preserving key of the representative
-    representative: EmbeddedMap  # canonical form
+    representative: EmbeddedMap  # decoded from key
     representative_doc: str
     delta: tuple[int, ...]
     delta_star: tuple[int, ...]
@@ -78,14 +78,6 @@ class ClassificationReport:
     self_dual_count: int
     dual_pairs: tuple[tuple[str, str], ...]  # key hex pairs, lexicographic
     strata: tuple[Stratum, ...]
-
-
-@dataclass(frozen=True)
-class LabelAssignment:
-    key: str  # hex
-    label: str
-    ambiguous: bool
-    shares_label_with: tuple[str, ...] = ()
 
 
 def _pairs(order: int) -> list[tuple[int, int]]:
@@ -147,21 +139,6 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
             yield from rec(vi + 1, sigma)
 
     yield from rec(0, [0] * n)
-
-
-def iter_candidates(order: int) -> Iterator[EmbeddedMap]:
-    """The raw candidate stream the classifier filters.
-
-    Yields every rotation system over every admissible multiplicity
-    vector, skipping maps whose surface would be disconnected, since
-    they embed in no single closed surface.
-    """
-    if order < 2:
-        raise UnsupportedOrderError(f"order {order} < 2 has no Newton graphs")
-    for mult in _multiplicity_vectors(order, 2):
-        for m in _vector_candidates(order, mult):
-            if validate(m).ok:
-                yield m
 
 
 def _scan_vector(args) -> set:
@@ -317,8 +294,8 @@ def _base_label(e: AtlasEntry) -> str:
     return label
 
 
-def match_paper_atlas(entries: Sequence[AtlasEntry]) -> tuple[LabelAssignment, ...]:
-    """Label the order-3 classes against the published case taxonomy.
+def label_atlas(entries: Sequence[AtlasEntry]) -> tuple[AtlasEntry, ...]:
+    """Entries labeled against the published order-3 case taxonomy.
 
     Labels are built from the invariant vector (max face, face and degree
     multisets, self-duality, chirality); a class whose maximum face is
@@ -336,33 +313,16 @@ def match_paper_atlas(entries: Sequence[AtlasEntry]) -> tuple[LabelAssignment, .
             f"expected 12 classes with 9 duality classes, got {len(entries)} "
             f"with {len(self_dual) + len(pairs)}")
 
-    labels: dict[str, str] = {}
+    labels = []
     for e in entries:
         partner = by_key[e.dual_key.hex()]
         if e.max_face < partner.max_face:
-            labels[e.key.hex()] = _base_label(partner) + "-dual"
+            labels.append(_base_label(partner) + "-dual")
         else:
-            labels[e.key.hex()] = _base_label(e)
-
-    groups: dict[str, list[str]] = {}
-    for kh, lab in labels.items():
-        groups.setdefault(lab, []).append(kh)
-    out = []
-    for e in entries:
-        kh = e.key.hex()
-        lab = labels[kh]
-        mates = tuple(sorted(k for k in groups[lab] if k != kh))
-        out.append(LabelAssignment(kh, lab, bool(mates), mates))
-    return tuple(out)
-
-
-def label_atlas(entries: Sequence[AtlasEntry]) -> tuple[AtlasEntry, ...]:
-    """Entries with paper_label/label_ambiguous filled in (order 3 only)."""
-    assignments = {a.key: a for a in match_paper_atlas(entries)}
-    return tuple(
-        replace(e, paper_label=assignments[e.key.hex()].label,
-                label_ambiguous=assignments[e.key.hex()].ambiguous)
-        for e in entries)
+            labels.append(_base_label(e))
+    counts = Counter(labels)
+    return tuple(replace(e, paper_label=lab, label_ambiguous=counts[lab] > 1)
+                 for e, lab in zip(entries, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +359,18 @@ def _key_from_hex(hexstr: str, allow_reflection: bool) -> CanonicalKey:
     return CanonicalKey(tuple(bytes.fromhex(hexstr)), allow_reflection)
 
 
+def _typed(name: str, value, kind: type):
+    """value, if JSON decoded it as kind (for list, a list of integers)."""
+    # type(), not isinstance(): a JSON true must not pass for an integer
+    ok = type(value) is kind
+    if ok and kind is list:
+        ok = all(type(x) is int for x in value)
+    if not ok:
+        want = "list of int" if kind is list else kind.__name__
+        raise TypeError(f"field {name!r} should be {want}, not {value!r}")
+    return value
+
+
 def atlas_from_jsonl(text: str) -> tuple[AtlasEntry, ...]:
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -406,28 +378,35 @@ def atlas_from_jsonl(text: str) -> tuple[AtlasEntry, ...]:
             continue
         try:
             rec = json.loads(line)
+            if type(rec) is not dict:
+                raise TypeError("record is not a JSON object")
+            field = lambda name, kind: _typed(name, rec[name], kind)
+            label = rec.get("paper_label")
+            if label is not None:
+                _typed("paper_label", label, str)
             entries.append(AtlasEntry(
-                order=rec["order"],
-                key=_key_from_hex(rec["key"], True),
-                key_op=_key_from_hex(rec["key_op"], False),
-                representative=parse(rec["representative"]),
+                order=field("order", int),
+                key=_key_from_hex(field("key", str), True),
+                key_op=_key_from_hex(field("key_op", str), False),
+                representative=parse(field("representative", str)),
                 representative_doc=rec["representative"],
-                delta=tuple(rec["delta"]),
-                delta_star=tuple(rec["delta_star"]),
-                max_face=rec["max_face"],
+                delta=tuple(field("delta", list)),
+                delta_star=tuple(field("delta_star", list)),
+                max_face=field("max_face", int),
                 vertex_pattern_on_max_face=tuple(
-                    rec["vertex_pattern_on_max_face"]),
-                self_dual=rec["self_dual"],
-                self_dual_op=rec["self_dual_op"],
-                dual_key=_key_from_hex(rec["dual_key"], True),
-                op_forms=rec["op_forms"],
-                verdict=rec["verdict"],
-                paper_label=rec.get("paper_label"),
-                label_ambiguous=rec.get("label_ambiguous", False),
+                    field("vertex_pattern_on_max_face", list)),
+                self_dual=field("self_dual", bool),
+                self_dual_op=field("self_dual_op", bool),
+                dual_key=_key_from_hex(field("dual_key", str), True),
+                op_forms=field("op_forms", int),
+                verdict=field("verdict", str),
+                paper_label=label,
+                label_ambiguous=_typed("label_ambiguous",
+                                       rec.get("label_ambiguous", False), bool),
             ))
         except KeyError as exc:
             raise ParseError(f"atlas record lacks field {exc}", lineno) from None
-        except (ValueError, TypeError, AttributeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ParseError(f"bad atlas record: {exc}", lineno) from None
     return tuple(entries)
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .canon import canonical_key
 from .duality import dual
-from .embedded_map import EmbeddedMap, facial_walks, validate
+from .embedded_map import EmbeddedMap, UnsuitableMapError, facial_walks, validate
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,15 @@ class NewtonReport:
 
 
 def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
+    """The Newton verdict: toroidal, loopless and E-property.
+
+    The degree bounds are reported but do not gate the verdict, since
+    the other conditions imply them at every order.  Looplessness keeps
+    every vertex degree at most 2r and rules out faces of length 1; the
+    E-property keeps every face at most 2r long and rules out a degree-1
+    vertex, whose pendant edge would run twice through one face; and both
+    degree sums count the 4r darts.
+    """
     status = _a_property_status(order)
     report = validate(m)
     if not report.ok:
@@ -94,7 +103,7 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
                 and len(facial_walks(m)) == order)
     e_rep = check_e_property(m)
     bounds = check_degree_bounds(m, order)
-    if toroidal and loopless and e_rep.holds and bounds:
+    if toroidal and loopless and e_rep.holds:
         verdict = "newton" if status != "unavailable" else "e-only"
     else:
         verdict = "not-newton"
@@ -108,27 +117,12 @@ class SelfDuality:
     orientation_preserving: bool
 
 
-def _require_newton(m: EmbeddedMap) -> None:
+def self_duality(m: EmbeddedMap) -> SelfDuality:
+    """Whether a Newton map is equivalent to its dual, in both senses."""
     rep = is_newton(m, m.order)
     if rep.verdict != "newton":
-        raise ValueError(f"self-duality is defined for Newton graphs; "
-                         f"verdict here is {rep.verdict!r}")
-
-
-def is_self_dual(m: EmbeddedMap, allow_reflection: bool = True) -> bool:
-    """Whether m is equivalent to its dual.
-
-    The default allows reflection, matching the usual reading in which a
-    map is compared with the orientation-reversed dual; pass
-    allow_reflection=False for the strict oriented sense.
-    """
-    _require_newton(m)
-    return (canonical_key(m, allow_reflection)
-            == canonical_key(dual(m), allow_reflection))
-
-
-def self_duality(m: EmbeddedMap) -> SelfDuality:
-    _require_newton(m)
+        raise UnsuitableMapError(f"self-duality is defined for Newton graphs; "
+                                 f"verdict here is {rep.verdict!r}")
     d = dual(m)
     return SelfDuality(
         reflective=canonical_key(m, True) == canonical_key(d, True),

@@ -2,7 +2,9 @@ import pathlib
 
 import pytest
 
-from newtonmaps import enumerate_newton, label_atlas, make_map, parse
+from newtonmaps import (canonical_key, enumerate_newton, label_atlas, make_map,
+                        parse)
+from newtonmaps.canon import _map_from_trace
 from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -42,6 +44,11 @@ def raw_candidates(order: int):
     """Every rotation system of the degree-pruned vectors, connected or not."""
     for mult in _multiplicity_vectors(order, 2):
         yield from _vector_candidates(order, mult)
+
+
+def canonical_form(m, allow_reflection: bool = True):
+    """The class representative the pipeline decodes from m's key."""
+    return _map_from_trace(canonical_key(m, allow_reflection).trace)
 
 
 def build_sphere_n2():

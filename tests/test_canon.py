@@ -5,10 +5,10 @@ import random
 import pytest
 
 from _oracle import SizeGuardError, brute_force_iso
-from conftest import build_chiral, build_sphere_n2
+from conftest import build_chiral, build_sphere_n2, canonical_form
 from newtonmaps import (CanonicalKey, MapStructureError, are_equivalent,
-                        canonical_form, canonical_key, dual, make_map, mirror,
-                        parse, refinement, relabel, serialize, validate)
+                        canonical_key, dual, make_map, mirror, parse,
+                        refinement, relabel, serialize, validate)
 
 N2_KEY_HEX = "01020304040005060601000707030205"
 

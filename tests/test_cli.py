@@ -331,14 +331,37 @@ def _atlas_line(edit):
     _atlas_line(lambda rec: rec)[:-1],
     _atlas_line(lambda rec: {**rec, "key": "zz"}),
     _atlas_line(lambda rec: {**rec, "representative": 5}),
+    _atlas_line(lambda rec: {**rec, "op_forms": "2"}),
+    _atlas_line(lambda rec: {**rec, "order": "two"}),
+    _atlas_line(lambda rec: {**rec, "delta": [4, "x"]}),
+    _atlas_line(lambda rec: {**rec, "self_dual": "yes"}),
+    _atlas_line(lambda rec: {**rec, "op_forms": True}),
 ], ids=["missing-key_op", "json-list", "delta-int", "malformed-json",
-        "bad-key-hex", "representative-int"])
+        "bad-key-hex", "representative-int", "op_forms-str", "order-str",
+        "delta-str-item", "self_dual-str", "op_forms-bool"])
 def test_atlas_refuses_malformed_record(tmp_path, bad):
     path = tmp_path / "bad.jsonl"
     path.write_text((FIXTURES / "atlas_order2.jsonl").read_text() + bad + "\n")
     r = run_cli("atlas", str(path))
     assert r.returncode == 3
     assert r.stderr.startswith("error: line 2:")
+
+
+@pytest.mark.parametrize("command", ["validate", "atlas"])
+def test_non_utf8_file_is_an_input_error(tmp_path, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfeorder 2\n")
+    r = run_cli(command, str(path))
+    assert r.returncode == 3
+    assert r.stderr.startswith("error:")
+
+
+def test_unexpected_value_error_is_not_an_input_error(monkeypatch):
+    def broken(m):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(cli, "serialize", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["dual", N2])
 
 
 def test_dual_out_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):

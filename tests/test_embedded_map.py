@@ -1,4 +1,4 @@
-"""Core map structure: construction, validation, walks, gluing."""
+"""Core map structure: construction, validation, walks."""
 
 import random
 
@@ -6,12 +6,12 @@ import pytest
 
 from conftest import (build_efail_n2, build_loop_map, build_sphere_n2,
                       fixture_text)
-from newtonmaps import (EmbeddedMap, MapStructureError, WalkGluingError,
-                        are_equivalent, canonical_key, check_degree_bounds,
+from newtonmaps import (EmbeddedMap, MapStructureError, are_equivalent,
+                        canonical_key, check_degree_bounds,
                         check_e_property, degree_sequence, dual, embedded_map,
                         euler_characteristic, face_degree_sequence,
-                        facial_walks, genus, is_newton, make_map,
-                        map_from_facial_walks, mirror, parse, relabel, validate)
+                        facial_walks, genus, is_newton, make_map, mirror,
+                        parse, relabel, validate)
 from _oracle import circuit_multiset, euler_from_doc, walk_circuits
 
 
@@ -253,49 +253,6 @@ def test_relabel_random_is_isomorphic(case1):
         assert degree_sequence(m) == degree_sequence(case1)
         assert face_degree_sequence(m) == face_degree_sequence(case1)
         assert are_equivalent(m, case1, False)
-
-
-def test_glue_round_trip(n2, case1, case3):
-    for m in (n2, case1, case3, build_loop_map()):
-        glued = map_from_facial_walks(facial_walks(m))
-        assert are_equivalent(glued, m, False)
-
-
-def test_glue_theta():
-    m = map_from_facial_walks([
-        [("u", "a"), ("v", "b")],
-        [("v", "a"), ("u", "c")],
-        [("u", "b"), ("v", "c")],
-    ])
-    assert m.order == 2
-    assert m.n_edges == 3
-    assert len(facial_walks(m)) == 3
-    assert euler_characteristic(m) == 2
-    assert degree_sequence(m) == (3, 3)
-
-
-def test_glue_accepts_plain_step_lists(case1):
-    walks = [list(zip(w.vertices, w.edges)) for w in facial_walks(case1)]
-    m = map_from_facial_walks(walks)
-    assert are_equivalent(m, case1, False)
-
-
-@pytest.mark.parametrize("walks,reason", [
-    ([], "empty"),
-    ([[]], "empty"),
-    ([[("u", "a", "x")]], "malformed"),
-    ([[("u", "a")]], "edge-occurrence-count"),
-    ([[("u", "a"), ("v", "b")], [("u", "a"), ("v", "b")]], "same-direction"),
-    ([[("u", "a"), ("v", "b")], [("w", "a"), ("u", "b")]], "endpoint-conflict"),
-    ([[("x", "a"), ("y", "b")], [("y", "a"), ("x", "b")],
-      [("x", "c"), ("y", "d")], [("y", "c"), ("x", "d")]], "vertex-conflict"),
-    ([[("x", "a"), ("y", "b")], [("y", "a"), ("x", "b")],
-      [("p", "c"), ("q", "d")], [("q", "c"), ("p", "d")]], "disconnected"),
-])
-def test_glue_rejections(walks, reason):
-    with pytest.raises(WalkGluingError) as exc:
-        map_from_facial_walks(walks)
-    assert exc.value.reason == reason
 
 
 def test_fixture_documents_parse(n2, case1, case3):

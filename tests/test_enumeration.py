@@ -12,10 +12,9 @@ from conftest import FIXTURES, build_chiral, raw_candidates
 from newtonmaps import (ClassificationMismatchError, Stratum,
                         UnsupportedOrderError, atlas_from_jsonl,
                         atlas_to_jsonl, canonical_key, classify,
-                        enumerate_newton, facial_walks, is_newton,
-                        iter_candidates, label_atlas, match_paper_atlas, parse,
-                        report_to_json, serialize, strata_check, validate,
-                        verify_atlas)
+                        enumerate_newton, facial_walks, is_newton, label_atlas,
+                        parse, report_to_json, serialize, strata_check,
+                        validate, verify_atlas)
 from newtonmaps.enumeration import (_multiplicity_vectors, _resolve_jobs,
                                     _vector_candidates)
 
@@ -52,15 +51,14 @@ ORDER3_LABELS = Counter({
 
 def test_candidate_counts():
     assert len(list(raw_candidates(2))) == 36
-    assert len(list(iter_candidates(2))) == 36
     all3 = list(raw_candidates(3))
     assert len(all3) == 9432
     # min degree 2 on three vertices leaves no room for a disconnected map
-    assert len(list(iter_candidates(3))) == 9432
+    assert sum(validate(m).ok for m in all3) == 9432
 
 
 def test_candidates_are_valid_and_pinned():
-    for m in iter_candidates(2):
+    for m in raw_candidates(2):
         assert validate(m).ok
         assert m.vertices == ("v1", "v2")
         assert m.n_edges == 4
@@ -78,7 +76,7 @@ def test_multiplicity_vectors():
 
 
 def test_newton_candidate_count_order3():
-    hits = sum(1 for m in iter_candidates(3)
+    hits = sum(1 for m in raw_candidates(3)
                if is_newton(m, 3).verdict == "newton")
     assert hits == 1372
 
@@ -186,30 +184,19 @@ def test_labels(atlas3):
     assert {e.paper_label for e in ambiguous} == {"case1-f642-d642-selfdual"}
 
 
-def test_label_assignments_cross_reference(atlas3):
-    assignments = match_paper_atlas(atlas3)
-    by_key = {a.key: a for a in assignments}
-    for e in atlas3:
-        a = by_key[e.key.hex()]
-        assert a.label == e.paper_label
-        assert a.ambiguous == e.label_ambiguous
-        for mate in a.shares_label_with:
-            assert by_key[mate].label == a.label
-
-
 def test_label_matching_rejects_wrong_shapes(atlas2, atlas3):
     with pytest.raises(ClassificationMismatchError):
-        match_paper_atlas(atlas2)
+        label_atlas(atlas2)
     # dropping a self-dual class keeps the pairing closed but breaks the count
     sd = next(e for e in atlas3 if e.self_dual)
     rest = [e for e in atlas3 if e.key != sd.key]
     with pytest.raises(ClassificationMismatchError, match="expected 12"):
-        match_paper_atlas(rest)
+        label_atlas(rest)
 
 
 def test_enumeration_deduplicates_against_brute_force(atlas3):
     rng = random.Random(17)
-    newts = [m for m in iter_candidates(3)
+    newts = [m for m in raw_candidates(3)
              if is_newton(m, 3).verdict == "newton"]
     by_key = {e.key.hex(): e for e in atlas3}
     for m in rng.sample(newts, 60):
@@ -293,8 +280,6 @@ def test_degree_pruning_loses_no_newton_map():
 def test_unsupported_orders():
     with pytest.raises(UnsupportedOrderError):
         enumerate_newton(1)
-    with pytest.raises(UnsupportedOrderError):
-        list(iter_candidates(0))
 
 
 def test_order4_warns_e_only(monkeypatch):

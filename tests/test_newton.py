@@ -6,9 +6,9 @@ import pytest
 
 from conftest import (build_chiral, build_efail_n2, build_grid4,
                       build_loop_map, build_sphere_n2, raw_candidates)
-from newtonmaps import (EWitness, check_degree_bounds, check_e_property,
-                        euler_characteristic, facial_walks, is_newton,
-                        is_self_dual, self_duality)
+from newtonmaps import (EWitness, UnsuitableMapError, check_degree_bounds,
+                        check_e_property, euler_characteristic, facial_walks,
+                        is_newton, self_duality)
 from test_properties import pool
 
 
@@ -102,8 +102,6 @@ def test_self_duality_senses(case1, case3):
     assert sd.reflective and sd.orientation_preserving
     sd = self_duality(case1)
     assert not sd.reflective and not sd.orientation_preserving
-    assert is_self_dual(case3)
-    assert not is_self_dual(case1)
 
 
 def test_self_duality_chiral_class():
@@ -111,15 +109,13 @@ def test_self_duality_chiral_class():
     sd = self_duality(m)
     assert sd.reflective
     assert not sd.orientation_preserving
-    assert is_self_dual(m)
-    assert not is_self_dual(m, allow_reflection=False)
 
 
 def test_self_duality_requires_newton_verdict():
-    with pytest.raises(ValueError, match="not-newton"):
+    with pytest.raises(UnsuitableMapError, match="not-newton"):
         self_duality(build_sphere_n2())
-    with pytest.raises(ValueError, match="e-only"):
-        is_self_dual(build_grid4())
+    with pytest.raises(UnsuitableMapError, match="e-only"):
+        self_duality(build_grid4())
 
 
 def test_is_newton_agrees_with_public_checks():
