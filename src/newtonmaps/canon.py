@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .embedded_map import (EmbeddedMap, MapStructureError, UnsuitableMapError,
-                           make_map, validate)
+                           validate)
 
 
 class WitnessError(RuntimeError):
@@ -60,18 +60,15 @@ def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def _trace_from(sigma, root: int):
     """Breadth-first relabeling from root; returns (trace, visit order)."""
-    n = len(sigma)
     idx = {root: 0}
     order = [root]
+    trace = []
     for d in order:
         for nxt in (sigma[d], d ^ 1):
             if nxt not in idx:
                 idx[nxt] = len(order)
                 order.append(nxt)
-    trace = []
-    for d in order:
-        trace.append(idx[sigma[d]])
-        trace.append(idx[d ^ 1])
+            trace.append(idx[nxt])
     return tuple(trace), order
 
 
@@ -107,56 +104,32 @@ def canonical_key(m: EmbeddedMap, allow_reflection: bool = True) -> CanonicalKey
 def _map_from_trace(trace: tuple[int, ...]) -> EmbeddedMap:
     """The map a canonical key's trace describes: its class representative.
 
-    Darts keep their canonical breadth-first numbers, vertices become v1,
-    v2, ... by first appearance and edges a, b, ... likewise, so every
-    member of a class yields the identical map object.  In the
-    reflection-allowed sense the representative may be a mirror image.
+    Edge k (named a, b, ...) is the k-th dart pair in trace order, its
+    lower trace dart becoming dart 2k; vertices become v1, v2, ... in the
+    order of their least trace dart.  So every member of a class yields
+    the identical map object.  In the reflection-allowed sense the
+    representative may be a mirror image.
     """
     n = len(trace) // 2
-    sigma = tuple(trace[2 * i] for i in range(n))
-    alpha = tuple(trace[2 * i + 1] for i in range(n))
-
-    cycles = []
-    seen = set()
+    sigma, alpha = trace[0::2], trace[1::2]
+    dart = [0] * n  # trace dart -> map dart
+    pairs = [d for d in range(n) if d < alpha[d]]
+    for k, d in enumerate(pairs):
+        dart[d], dart[alpha[d]] = 2 * k, 2 * k + 1
+    vertices = []
+    origin: list = [None] * n
     for d0 in range(n):
-        if d0 in seen:
-            continue
-        cyc = [d0]
-        seen.add(d0)
-        d = sigma[d0]
-        while d != d0:
-            seen.add(d)
-            cyc.append(d)
-            d = sigma[d]
-        cycles.append(cyc)
-    vertex_of = {}
-    vertex_names = []
-    for i, cyc in enumerate(cycles):
-        name = f"v{i + 1}"
-        vertex_names.append(name)
-        for d in cyc:
-            vertex_of[d] = name
-
-    edge_name = {}
-    edge_decls = []
+        if origin[dart[d0]] is None:
+            vertices.append(f"v{len(vertices) + 1}")
+            d = d0
+            while origin[dart[d]] is None:
+                origin[dart[d]] = vertices[-1]
+                d = sigma[d]
+    new_sigma = [0] * n
     for d in range(n):
-        p = alpha[d]
-        if d < p:
-            name = _edge_label(len(edge_decls))
-            edge_name[d] = edge_name[p] = name
-            edge_decls.append((name, (vertex_of[d], vertex_of[p])))
-
-    rotations = {}
-    for name, cyc in zip(vertex_names, cycles):
-        toks = []
-        for d in cyc:
-            e = edge_name[d]
-            if vertex_of[d] == vertex_of[alpha[d]]:
-                toks.append((e, 0 if d < alpha[d] else 1))
-            else:
-                toks.append(e)
-        rotations[name] = toks
-    return make_map(edge_decls, rotations)
+        new_sigma[dart[d]] = dart[sigma[d]]
+    edges = tuple(_edge_label(k) for k in range(len(pairs)))
+    return EmbeddedMap(tuple(vertices), edges, tuple(new_sigma), tuple(origin))
 
 
 def _edge_label(k: int) -> str:

@@ -25,6 +25,8 @@ from typing import Mapping, Optional, Sequence
 class MapStructureError(ValueError):
     """Raised when an operation receives a structurally invalid map."""
 
+    vertex = edge = None  # make_map sets the rotation or declaration at fault
+
 
 class UnsuitableMapError(ValueError):
     """Raised when a valid map lies outside what an operation can take."""
@@ -132,66 +134,66 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
     edges: ordered (name, (u, v)) pairs; edge k receives darts 2k (at u)
     and 2k+1 (at v).  rotations: vertex -> anti-clockwise list of tokens,
     each an edge name or a (name, end) pair; the explicit end is required
-    exactly when the edge is a loop.
+    on a loop and allowed on any edge.  This is the one place where tokens
+    are resolved to darts: a MapStructureError names in its vertex or edge
+    attribute the rotation or edge declaration at fault.
     """
-    edge_names = []
     ends = {}
     for name, (u, v) in edges:
         if name in ends:
-            raise MapStructureError(f"duplicate edge name {name!r}")
+            raise _fault(f"duplicate edge name {name!r}", edge=name)
         ends[name] = (u, v)
-        edge_names.append(name)
-    index = {name: k for k, name in enumerate(edge_names)}
+    index = {name: k for k, name in enumerate(ends)}
 
-    n = 2 * len(edge_names)
+    n = 2 * len(ends)
     sigma = [-1] * n
     origin: list = [None] * n
-    used = set()
     for vertex, tokens in rotations.items():
         darts = []
         for tok in tokens:
-            if isinstance(tok, tuple):
-                name, end = tok
-                if name not in index:
-                    raise MapStructureError(f"unknown edge {name!r} at vertex {vertex!r}")
-                if end not in (0, 1):
-                    raise MapStructureError(f"bad end selector {end!r} for edge {name!r}")
-                if ends[name][end] != vertex:
-                    raise MapStructureError(
-                        f"edge {name!r} end {end} is not incident to vertex {vertex!r}")
-                d = 2 * index[name] + end
-            else:
-                name = tok
-                if name not in index:
-                    raise MapStructureError(f"unknown edge {name!r} at vertex {vertex!r}")
-                u, v = ends[name]
+            name, end = tok if isinstance(tok, tuple) else (tok, None)
+            if name not in index:
+                raise _fault(f"unknown edge {name!r} at vertex {vertex!r}", vertex)
+            u, v = ends[name]
+            if end is None:
                 if u == v:
-                    raise MapStructureError(
-                        f"loop {name!r} needs an end selector in the rotation at {vertex!r}")
-                if vertex == u:
-                    d = 2 * index[name]
-                elif vertex == v:
-                    d = 2 * index[name] + 1
-                else:
-                    raise MapStructureError(
-                        f"edge {name!r} is not incident to vertex {vertex!r}")
-            if d in used:
-                raise MapStructureError(
-                    f"dart of edge {name!r} listed twice (vertex {vertex!r})")
-            used.add(d)
+                    raise _fault(f"loop {name!r} needs an end selector in the "
+                                 f"rotation at {vertex!r}", vertex)
+                if vertex not in (u, v):
+                    raise _fault(f"edge {name!r} is not incident to vertex "
+                                 f"{vertex!r}", vertex)
+                end = 0 if vertex == u else 1
+            elif end not in (0, 1):
+                raise _fault(f"bad end selector {end!r} for edge {name!r}", vertex)
+            elif (u, v)[end] != vertex:
+                raise _fault(f"edge {name!r} end {end} belongs to vertex "
+                             f"{(u, v)[end]!r}, so it is not incident to "
+                             f"vertex {vertex!r}", vertex)
+            d = 2 * index[name] + end
+            if origin[d] is not None:
+                raise _fault(f"dart of edge {name!r} listed twice "
+                             f"(vertex {vertex!r})", vertex)
+            origin[d] = vertex
             darts.append(d)
         for i, d in enumerate(darts):
             sigma[d] = darts[(i + 1) % len(darts)]
-            origin[d] = vertex
-    if len(used) != n:
-        missing = sorted(set(range(n)) - used)
-        raise MapStructureError(f"darts never placed in a rotation: {missing}")
+    for k, name in enumerate(ends):
+        placed = (origin[2 * k] is not None) + (origin[2 * k + 1] is not None)
+        if placed != 2:
+            raise _fault(f"a dart of edge {name!r} is never placed: it appears "
+                         f"in {placed} rotation position(s); need 2", edge=name)
     return EmbeddedMap(
         vertices=tuple(rotations.keys()),
-        edges=tuple(edge_names),
+        edges=tuple(ends),
         sigma=tuple(sigma),
         dart_origin=tuple(origin),
     )
+
+
+def _fault(message: str, vertex=None, edge=None) -> MapStructureError:
+    exc = MapStructureError(message)
+    exc.vertex, exc.edge = vertex, edge
+    return exc
 
 
 def _cycle_count(perm) -> int:

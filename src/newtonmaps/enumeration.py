@@ -22,7 +22,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
@@ -188,44 +188,48 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
             pool.shutdown()
     traces = set().union(*results)
 
-    verdict = "newton" if order <= 3 else "e-only"
     entries = []
     for trace in sorted(traces):
-        rep = _map_from_trace(trace)
-        key = canonical_key(rep, True)
-        if key.trace != trace:
+        entry = _atlas_entry(_map_from_trace(trace))
+        if entry.key.trace != trace:
             raise ClassificationMismatchError("canonical representative drifted")
-        delta_star = face_degree_sequence(rep)
-        max_face = delta_star[0]
-        pattern = max(
-            tuple(sorted(Counter(w.vertices).values(), reverse=True))
-            for w in facial_walks(rep) if w.length == max_face)
-        if order == 3 and max_face not in (4, 5, 6):
-            raise ClassificationMismatchError(
-                f"order-3 maximum face {max_face} outside 4..6")
-        d = dual(rep)
-        dual_key = canonical_key(d, True)
-        key_op = canonical_key(rep, False)
-        # every rotation system is a candidate and mirroring keeps the Newton
-        # conditions, so the class's OP classes are those of rep and its mirror
-        op_forms = 1 if canonical_key(mirror(rep), False) == key_op else 2
-        entries.append(AtlasEntry(
-            order=order,
-            key=key,
-            key_op=key_op,
-            representative=rep,
-            representative_doc=serialize(rep),
-            delta=degree_sequence(rep),
-            delta_star=delta_star,
-            max_face=max_face,
-            vertex_pattern_on_max_face=pattern,
-            self_dual=(dual_key == key),
-            self_dual_op=(canonical_key(d, False) == key_op),
-            dual_key=dual_key,
-            op_forms=op_forms,
-            verdict=verdict,
-        ))
+        entries.append(entry)
     return tuple(entries)
+
+
+def _atlas_entry(rep: EmbeddedMap) -> AtlasEntry:
+    """The unlabeled atlas entry of rep's class: every field derives from rep."""
+    delta_star = face_degree_sequence(rep)
+    max_face = delta_star[0]
+    pattern = max(
+        tuple(sorted(Counter(w.vertices).values(), reverse=True))
+        for w in facial_walks(rep) if w.length == max_face)
+    if rep.order == 3 and max_face not in (4, 5, 6):
+        raise ClassificationMismatchError(
+            f"order-3 maximum face {max_face} outside 4..6")
+    key = canonical_key(rep, True)
+    d = dual(rep)
+    dual_key = canonical_key(d, True)
+    key_op = canonical_key(rep, False)
+    # every rotation system is a candidate and mirroring keeps the Newton
+    # conditions, so the class's OP classes are those of rep and its mirror
+    op_forms = 1 if canonical_key(mirror(rep), False) == key_op else 2
+    return AtlasEntry(
+        order=rep.order,
+        key=key,
+        key_op=key_op,
+        representative=rep,
+        representative_doc=serialize(rep),
+        delta=degree_sequence(rep),
+        delta_star=delta_star,
+        max_face=max_face,
+        vertex_pattern_on_max_face=pattern,
+        self_dual=(dual_key == key),
+        self_dual_op=(canonical_key(d, False) == key_op),
+        dual_key=dual_key,
+        op_forms=op_forms,
+        verdict="newton" if rep.order <= 3 else "e-only",
+    )
 
 
 def _pairing(entries: Sequence[AtlasEntry]):
@@ -412,20 +416,20 @@ def atlas_from_jsonl(text: str) -> tuple[AtlasEntry, ...]:
 
 
 def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
-    """Internal-consistency audit of a (possibly re-read) atlas."""
+    """Audit of a (possibly re-read) atlas.
+
+    Each entry must equal, labels aside, the entry its representative
+    derives, and every class's dual must be in the atlas.
+    """
+    unlabeled = [f.name for f in fields(AtlasEntry)
+                 if f.name not in ("paper_label", "label_ambiguous")]
     for e in entries:
-        if canonical_key(e.representative, True) != e.key:
-            raise ClassificationMismatchError(
-                f"entry {e.key.hex()[:12]}: representative does not match key")
-        if canonical_key(e.representative, False) != e.key_op:
-            raise ClassificationMismatchError(
-                f"entry {e.key.hex()[:12]}: orientation-preserving key drifted")
-        if (e.self_dual) != (e.dual_key == e.key):
-            raise ClassificationMismatchError(
-                f"entry {e.key.hex()[:12]}: self_dual flag inconsistent")
-        if serialize(e.representative) != e.representative_doc:
-            raise ClassificationMismatchError(
-                f"entry {e.key.hex()[:12]}: representative not canonical")
+        want = _atlas_entry(e.representative)
+        for name in unlabeled:
+            if getattr(e, name) != getattr(want, name):
+                raise ClassificationMismatchError(
+                    f"entry {e.key.hex()[:12]}: field {name!r} does not match "
+                    "its representative")
     _pairing(entries)
 
 

@@ -95,62 +95,32 @@ def parse(text: str) -> EmbeddedMap:
     if len(rots) != order:
         raise ParseError(f"order is {order} but {len(rots)} rotation line(s) given")
 
+    # spelling only: make_map resolves the tokens and reports structural faults
     rotations: dict = {}
-    occurrences: dict = {name: 0 for name in ends}
     for vertex, words, lineno in rots:
         toks = []
-        seen_here = set()
         for word in words:
-            if "." in word:
-                name, _, endtxt = word.partition(".")
+            name, dot, endtxt = word.partition(".")
+            loop = name in ends and ends[name][0] == ends[name][1]
+            if dot:
                 if endtxt not in ("0", "1"):
                     raise ParseError(f"bad end selector in {word!r}", lineno)
-                if name not in ends:
-                    raise ParseError(f"unknown edge {name!r}", lineno)
-                u, v = ends[name]
-                if u != v:
+                if name in ends and not loop:
                     raise ParseError(
                         f"end selector on non-loop edge {name!r}", lineno)
-                end = int(endtxt)
-                tok = (name, end)
+                toks.append((name, int(endtxt)))
+            elif loop:
+                raise ParseError(f"loop {name!r} needs .0/.1 end selectors", lineno)
             else:
-                name = word
-                if name not in ends:
-                    raise ParseError(f"unknown edge {name!r}", lineno)
-                u, v = ends[name]
-                if u == v:
-                    raise ParseError(
-                        f"loop {name!r} needs .0/.1 end selectors", lineno)
-                if vertex == u:
-                    tok = (name, 0)
-                elif vertex == v:
-                    tok = (name, 1)
-                else:
-                    raise ParseError(
-                        f"edge {name!r} is not incident to vertex {vertex!r}", lineno)
-            if tok in seen_here:
-                raise ParseError(
-                    f"edge end {word!r} listed twice at vertex {vertex!r}", lineno)
-            if ends[tok[0]][tok[1]] != vertex:
-                raise ParseError(
-                    f"edge {tok[0]!r} end {tok[1]} belongs to vertex "
-                    f"{ends[tok[0]][tok[1]]!r}, not {vertex!r}", lineno)
-            seen_here.add(tok)
-            occurrences[tok[0]] += 1
-            toks.append(tok)
+                toks.append(name)
         if orientation == "anticlockwise-faces":
             toks.reverse()
         rotations[vertex] = toks
-
-    for name, count in occurrences.items():
-        if count != 2:
-            raise ParseError(
-                f"edge {name!r} appears in {count} rotation position(s); need 2",
-                edge_line[name])
     try:
         return make_map(edges, rotations)
-    except MapStructureError as exc:  # all structural cases are caught above
-        raise ParseError(str(exc)) from exc
+    except MapStructureError as exc:
+        line = rot_seen.get(exc.vertex, edge_line.get(exc.edge))
+        raise ParseError(str(exc), line) from exc
 
 
 def _token(m: EmbeddedMap, dart: int) -> str:

@@ -319,6 +319,27 @@ def test_atlas_audit_catches_corruption(tmp_path):
     assert run_cli("atlas", str(garbage)).returncode == 3
 
 
+@pytest.mark.parametrize("edit", [
+    lambda recs: next(r for r in recs if r["op_forms"] == 2).update(op_forms=1),
+    lambda recs: recs[0].update(delta=[x + 1 for x in recs[0]["delta"]]),
+    lambda recs: recs[0].update(delta_star=[x + 1 for x in recs[0]["delta_star"]]),
+    lambda recs: recs[0].update(max_face=recs[0]["max_face"] + 1),
+    lambda recs: recs[0].update(self_dual_op=not recs[0]["self_dual_op"]),
+    lambda recs: recs[0].update(verdict="e-only"),
+    lambda recs: [r.update(order=4) for r in recs],
+], ids=["chiral-op_forms", "delta", "delta_star", "max_face", "self_dual_op",
+        "verdict", "order-all"])
+def test_atlas_audit_rederives_every_field(tmp_path, edit):
+    records = [json.loads(line) for line in
+               (FIXTURES / "atlas_order3.jsonl").read_text().splitlines()]
+    edit(records)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    r = run_cli("atlas", str(bad))
+    assert r.returncode == 4
+    assert "internal consistency failure" in r.stderr
+
+
 def _atlas_line(edit):
     rec = json.loads((FIXTURES / "atlas_order2.jsonl").read_text())
     return json.dumps(edit(rec))

@@ -103,6 +103,8 @@ def test_make_map_loop_needs_selector():
     m = make_map(edges, {"u": [("a", 0), ("a", 1), "b"], "v": ["b"]})
     assert m.n_darts == 4
     assert m.rotation_at("u") == (0, 1, 2)
+    # an explicit end is allowed on a non-loop edge too
+    assert make_map(edges, {"u": [("a", 0), ("a", 1), ("b", 0)], "v": ["b"]}) == m
 
 
 def test_make_map_bad_selector():

@@ -85,6 +85,12 @@ def test_orientation_marker_validated():
      "listed twice"),
     ("order 2\nedge a v1 v2\nedge b v1 v3\nrot v1 a b\nrot v2 a b\n", 5,
      "not incident"),
+    ("order 2\nedge a w w\nedge b w x\nrot w a.0 a.0 b\nrot x b\n", 4,
+     "listed twice"),
+    ("order 2\nedge a v1 v2\nedge b v1 v2\nedge c v1 v2\nrot v1 a b\n"
+     "rot v2 a b\n", 4, "appears in 0 rotation position"),
+    ("order 2\nedge a v1 v2\nedge b v1 v3\nrot v1 a b\nrot v3 a b\n", 5,
+     "not incident"),
 ])
 def test_parse_errors_with_line_numbers(doc, lineno, fragment):
     with pytest.raises(ParseError) as exc:
