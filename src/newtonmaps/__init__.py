@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .canon import (CanonicalKey, IsoResult, WitnessError, are_equivalent,
                     canonical_key)
 from .duality import PGraph, RefinedMap, abstract_p_graph, dual, refinement
-from .embedded_map import (Defect, EmbeddedMap, FacialWalk, MapStructureError,
+from .embedded_map import (Defect, EmbeddedMap, MapStructureError,
                            UnsuitableMapError, ValidationReport,
                            degree_sequence, euler_characteristic,
                            face_degree_sequence, facial_walks, genus, make_map,
@@ -29,10 +29,10 @@ from .newton import (EPropertyReport, EWitness, NewtonReport, SelfDuality,
 __all__ = [
     "AtlasEntry", "CanonicalKey", "ClassificationMismatchError",
     "ClassificationReport", "Defect", "EPropertyReport", "EWitness",
-    "EmbeddedMap", "FacialWalk", "IsoResult", "MapStructureError",
-    "NewtonReport", "PGraph", "ParseError", "RefinedMap", "SelfDuality",
-    "Stratum", "UnsuitableMapError", "UnsupportedOrderError",
-    "ValidationReport", "WitnessError", "abstract_p_graph", "are_equivalent",
+    "EmbeddedMap", "IsoResult", "MapStructureError", "NewtonReport",
+    "PGraph", "ParseError", "RefinedMap", "SelfDuality", "Stratum",
+    "UnsuitableMapError", "UnsupportedOrderError", "ValidationReport",
+    "WitnessError", "abstract_p_graph", "are_equivalent",
     "atlas_from_jsonl", "atlas_to_jsonl", "canonical_key",
     "check_degree_bounds", "check_e_property", "classify", "degree_sequence",
     "dual", "enumerate_newton", "euler_characteristic", "face_degree_sequence",

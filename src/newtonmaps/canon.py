@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .embedded_map import (EmbeddedMap, MapStructureError, UnsuitableMapError,
-                           validate)
+                           mirror, validate)
 
 
 class WitnessError(RuntimeError):
@@ -51,13 +51,6 @@ class IsoResult:
         return self.equivalent
 
 
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def _trace_from(sigma, root: int):
     """Breadth-first relabeling from root; returns (trace, visit order)."""
     idx = {root: 0}
@@ -88,7 +81,7 @@ def _best_trace_sided(m: EmbeddedMap, allow_reflection: bool):
     trace, order = _best_trace(m.sigma)
     mirrored = False
     if allow_reflection:
-        trace2, order2 = _best_trace(_invert(m.sigma))
+        trace2, order2 = _best_trace(mirror(m).sigma)
         if trace2 < trace:
             trace, order, mirrored = trace2, order2, True
     return trace, order, mirrored
@@ -157,7 +150,7 @@ def are_equivalent(a: EmbeddedMap, b: EmbeddedMap,
     pos_a = {d: i for i, d in enumerate(order_a)}
     f = tuple(order_b[pos_a[d]] for d in range(a.n_darts))
     reflected = mir_a != mir_b
-    target = _invert(b.sigma) if reflected else b.sigma
+    target = mirror(b).sigma if reflected else b.sigma
     for d in range(a.n_darts):
         if f[a.sigma[d]] != target[f[d]] or f[d ^ 1] != f[d] ^ 1:
             raise WitnessError(f"equivalence witness fails at dart {d}")

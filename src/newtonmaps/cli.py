@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -23,7 +24,7 @@ from .embedded_map import (EmbeddedMap, MapStructureError, UnsuitableMapError,
 from .enumeration import (ClassificationMismatchError, UnsupportedOrderError,
                           atlas_from_jsonl, atlas_to_jsonl, classify,
                           enumerate_newton, label_atlas, report_to_json,
-                          report_to_json_dict, verify_atlas)
+                          verify_atlas)
 from .mapdoc import ParseError, map_to_dot, map_to_json_dict, parse, serialize
 from .newton import is_newton, self_duality
 
@@ -80,27 +81,23 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _walk_text(w) -> str:
-    return " ".join(f"{v} {e}" for v, e in zip(w.vertices, w.edges))
-
-
 def cmd_faces(args) -> int:
     m = _load(args.file)
     walks = facial_walks(m)
+    steps = [[(str(m.dart_origin[d]), str(m.edge_of(d))) for d in w] for w in walks]
     chi, g = euler_characteristic(m), genus(m)
     if args.format == "json":
         _emit_json({
             "euler_characteristic": chi,
             "genus": g,
-            "face_degrees": sorted((w.length for w in walks), reverse=True),
-            "walks": [{"face": f"f{i + 1}", "length": w.length,
-                       "steps": [[str(v), str(e)]
-                                 for v, e in zip(w.vertices, w.edges)]}
-                      for i, w in enumerate(walks)],
+            "face_degrees": sorted(map(len, walks), reverse=True),
+            "walks": [{"face": f"f{i + 1}", "length": len(w), "steps": w}
+                      for i, w in enumerate(steps)],
         })
     else:
-        for i, w in enumerate(walks):
-            print(f"f{i + 1} (length {w.length}): {_walk_text(w)}")
+        for i, w in enumerate(steps):
+            print(f"f{i + 1} (length {len(w)}): "
+                  + " ".join(f"{v} {e}" for v, e in w))
         print(f"faces {len(walks)}  chi {chi}  genus {g}")
     return 0
 
@@ -223,7 +220,7 @@ def cmd_classify(args) -> int:
         _write_atomic(outdir / f"classification_order{args.order}.json",
                       report_to_json(report))
     if args.format == "json":
-        _emit_json(report_to_json_dict(report))
+        _emit_json(asdict(report))
     else:
         print(f"order {report.order}")
         print(f"classes (reflection-allowed): {report.count_refl}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedded_map import (EmbeddedMap, FacialWalk, MapStructureError,
+from .embedded_map import (EmbeddedMap, MapStructureError, _repeated_edge,
                            facial_walks, make_map)
 
 
@@ -27,17 +27,16 @@ def dual(m: EmbeddedMap) -> EmbeddedMap:
     n = m.n_darts
     origin: list = [None] * n
     for lab, w in zip(labels, walks):
-        for d in w.darts:
+        for d in w:
             origin[d] = lab
     sigma_star = tuple(m.sigma[d ^ 1] for d in range(n))  # phi
     return EmbeddedMap(labels, m.edges, sigma_star, tuple(origin))
 
 
-def _require_no_repeated_edge(walks: tuple[FacialWalk, ...]) -> None:
-    for w in walks:
-        if len(set(w.edges)) != len(w.edges):
-            raise MapStructureError(
-                "refinement needs every facial walk to use each edge at most once")
+def _require_no_repeated_edge(m: EmbeddedMap) -> None:
+    if _repeated_edge(m) is not None:
+        raise MapStructureError(
+            "refinement needs every facial walk to use each edge at most once")
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,11 @@ def refinement(m: EmbeddedMap) -> RefinedMap:
     toroidal map with r faces this yields 4r vertices, 8r edges and 4r
     quadrilateral faces, one per corner of the base map.
     """
+    _require_no_repeated_edge(m)
     walks = facial_walks(m)
-    _require_no_repeated_edge(walks)
     face_of = {}
     for i, w in enumerate(walks):
-        for d in w.darts:
+        for d in w:
             face_of[d] = i + 1
 
     edge_decls = []
@@ -92,7 +91,7 @@ def refinement(m: EmbeddedMap) -> RefinedMap:
         rotations[("s", e)] = [(("h", d0), 1), (("g", d0), 0),
                                (("h", d1), 1), (("g", d1), 0)]
     for i, w in enumerate(walks):
-        rotations[("f", i + 1)] = [(("g", d), 1) for d in reversed(w.darts)]
+        rotations[("f", i + 1)] = [(("g", d), 1) for d in reversed(w)]
 
     refined = make_map(edge_decls, rotations)
     level = {}
@@ -138,7 +137,7 @@ class PGraph:
 
 
 def abstract_p_graph(m: EmbeddedMap) -> PGraph:
-    _require_no_repeated_edge(facial_walks(m))
+    _require_no_repeated_edge(m)
     star = dual(m)
     arcs = []
     for d in range(m.n_darts):

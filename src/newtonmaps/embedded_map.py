@@ -49,23 +49,6 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class FacialWalk:
-    """One face boundary, traced clockwise (face on the right).
-
-    darts[i] starts at vertices[i] and runs along edges[i]; the dart list
-    is rotated so that it begins at its smallest dart id.
-    """
-
-    darts: tuple[int, ...]
-    vertices: tuple
-    edges: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.darts)
-
-
-@dataclass(frozen=True)
 class EmbeddedMap:
     """Combinatorial map: vertex rotation sigma on darts 0..2|E|-1.
 
@@ -86,7 +69,7 @@ class EmbeddedMap:
         return _structure_report(self)
 
     @cached_property
-    def _walks(self) -> tuple[FacialWalk, ...]:
+    def _walks(self) -> tuple[tuple[int, ...], ...]:
         return _trace_faces(self)
 
     @property
@@ -281,16 +264,17 @@ def _checked(m: EmbeddedMap) -> EmbeddedMap:
     return m
 
 
-def facial_walks(m: EmbeddedMap) -> tuple[FacialWalk, ...]:
-    """All face boundaries as clockwise closed walks, one per phi-orbit.
+def facial_walks(m: EmbeddedMap) -> tuple[tuple[int, ...], ...]:
+    """All face boundaries as clockwise closed walks of darts, one per phi-orbit.
 
-    Walks are listed by their smallest dart; each walk's dart list starts
-    at that dart, so the output is fully determined by sigma.
+    Dart d of a walk starts at m.dart_origin[d] and runs along
+    m.edge_of(d).  Walks are listed by their smallest dart, and each walk
+    starts at that dart, so the output is fully determined by sigma.
     """
     return _checked(m)._walks
 
 
-def _trace_faces(m: EmbeddedMap) -> tuple[FacialWalk, ...]:
+def _trace_faces(m: EmbeddedMap) -> tuple[tuple[int, ...], ...]:
     walks = []
     seen = [False] * m.n_darts
     for d0 in range(m.n_darts):
@@ -302,12 +286,19 @@ def _trace_faces(m: EmbeddedMap) -> tuple[FacialWalk, ...]:
             seen[d] = True
             orbit.append(d)
             d = m.sigma[d ^ 1]
-        walks.append(FacialWalk(
-            darts=tuple(orbit),
-            vertices=tuple(m.dart_origin[x] for x in orbit),
-            edges=tuple(m.edge_of(x) for x in orbit),
-        ))
+        walks.append(tuple(orbit))
     return tuple(walks)
+
+
+def _repeated_edge(m: EmbeddedMap) -> Optional[tuple[int, int]]:
+    """(walk index, dart) of the first walk holding both darts of an edge,
+    with that walk's first such dart; None when no walk repeats an edge."""
+    for i, w in enumerate(facial_walks(m)):
+        darts = set(w)
+        for d in w:
+            if d ^ 1 in darts:
+                return i, d
+    return None
 
 
 def euler_characteristic(m: EmbeddedMap) -> int:
@@ -327,7 +318,7 @@ def degree_sequence(m: EmbeddedMap) -> tuple[int, ...]:
 
 
 def face_degree_sequence(m: EmbeddedMap) -> tuple[int, ...]:
-    return tuple(sorted((w.length for w in facial_walks(m)), reverse=True))
+    return tuple(sorted(map(len, facial_walks(m)), reverse=True))
 
 
 def mirror(m: EmbeddedMap) -> EmbeddedMap:

@@ -22,7 +22,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
@@ -202,8 +202,8 @@ def _atlas_entry(rep: EmbeddedMap) -> AtlasEntry:
     delta_star = face_degree_sequence(rep)
     max_face = delta_star[0]
     pattern = max(
-        tuple(sorted(Counter(w.vertices).values(), reverse=True))
-        for w in facial_walks(rep) if w.length == max_face)
+        tuple(sorted(Counter(rep.dart_origin[d] for d in w).values(), reverse=True))
+        for w in facial_walks(rep) if len(w) == max_face)
     if rep.order == 3 and max_face not in (4, 5, 6):
         raise ClassificationMismatchError(
             f"order-3 maximum face {max_face} outside 4..6")
@@ -433,22 +433,5 @@ def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
     _pairing(entries)
 
 
-def report_to_json_dict(r: ClassificationReport) -> dict:
-    return {
-        "order": r.order,
-        "count_op": r.count_op,
-        "count_refl": r.count_refl,
-        "count_dual": r.count_dual,
-        "self_dual_count": r.self_dual_count,
-        "dual_pairs": [list(p) for p in r.dual_pairs],
-        "strata": [
-            {"max_face": s.max_face,
-             "vertex_pattern": list(s.vertex_pattern),
-             "classes": s.classes}
-            for s in r.strata
-        ],
-    }
-
-
 def report_to_json(r: ClassificationReport) -> str:
-    return json.dumps(report_to_json_dict(r), sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(r), sort_keys=True, indent=2) + "\n"

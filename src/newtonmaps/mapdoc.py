@@ -57,7 +57,9 @@ def parse(text: str) -> EmbeddedMap:
         if kind == "order":
             if order is not None:
                 raise ParseError("duplicate order line", lineno)
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
+            # str.isdigit alone also accepts non-ASCII digits such as "²"
+            if (len(fields) != 2 or not fields[1].isascii()
+                    or not fields[1].isdigit() or int(fields[1]) < 1):
                 raise ParseError("order needs one positive integer", lineno)
             order = int(fields[1])
         elif kind == "orientation":

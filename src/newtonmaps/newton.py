@@ -13,13 +13,13 @@ can only ever be certified "e-only".
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .canon import canonical_key
 from .duality import dual
-from .embedded_map import EmbeddedMap, UnsuitableMapError, facial_walks, validate
+from .embedded_map import (EmbeddedMap, UnsuitableMapError, _repeated_edge,
+                           facial_walks, validate)
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,17 @@ def check_e_property(m: EmbeddedMap) -> EPropertyReport:
     by its own edges, so once no edge repeats, each walk is an Eulerian
     circuit of its boundary.
     """
-    for i, w in enumerate(facial_walks(m)):
-        for e, c in Counter(w.edges).items():
-            if c > 1:
-                return EPropertyReport(False, EWitness(i, e))
-    return EPropertyReport(True)
+    found = _repeated_edge(m)
+    if found is None:
+        return EPropertyReport(True)
+    return EPropertyReport(False, EWitness(found[0], m.edge_of(found[1])))
 
 
 def check_degree_bounds(m: EmbeddedMap, order: int) -> bool:
     """Vertex and face degrees must lie in (1, 2r], with both sums 4r."""
     hi = 2 * order
     degs = [m.degree(v) for v in m.vertices]
-    fdegs = [w.length for w in facial_walks(m)]
+    fdegs = [len(w) for w in facial_walks(m)]
     return (all(1 < d <= hi for d in degs) and all(1 < d <= hi for d in fdegs)
             and sum(degs) == 4 * order and sum(fdegs) == 4 * order)
 

@@ -36,7 +36,7 @@ def test_acceptance_1_order2_classification():
     entries = enumerate_newton(2)
     report = classify(entries)
     elapsed = time.perf_counter() - t0
-    walk_lengths = [w.length for e in entries
+    walk_lengths = [len(w) for e in entries
                     for w in facial_walks(e.representative)]
     ok = (report.count_refl == 1 and entries[0].self_dual
           and walk_lengths == [4, 4] and elapsed < 1.0)

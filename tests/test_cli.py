@@ -92,6 +92,16 @@ def test_input_errors(docs):
     assert "line 1" in r.stderr
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661"])
+def test_non_ascii_order_digit_is_an_input_error(tmp_path, digit):
+    path = tmp_path / "order.map"
+    body = (FIXTURES / "n2.map").read_text().split("\n", 1)[1]
+    path.write_text(f"order {digit}\n" + body, encoding="utf-8")
+    r = run_cli("validate", str(path))
+    assert r.returncode == 3
+    assert "line 1: order needs one positive integer" in r.stderr
+
+
 def test_faces_text():
     r = run_cli("faces", CASE1)
     assert r.returncode == 0
@@ -111,6 +121,20 @@ def test_faces_json():
     assert payload["face_degrees"] == [6, 3, 3]
     assert payload["walks"][0]["face"] == "f1"
     assert payload["walks"][0]["steps"][0] == ["v1", "a"]
+    assert payload == {
+        "euler_characteristic": 0,
+        "genus": 1,
+        "face_degrees": [6, 3, 3],
+        "walks": [
+            {"face": "f1", "length": 6,
+             "steps": [["v1", "a"], ["v2", "b"], ["v3", "c"],
+                       ["v1", "d"], ["v2", "e"], ["v3", "f"]]},
+            {"face": "f2", "length": 3,
+             "steps": [["v2", "a"], ["v1", "c"], ["v3", "e"]]},
+            {"face": "f3", "length": 3,
+             "steps": [["v3", "b"], ["v2", "d"], ["v1", "f"]]},
+        ],
+    }
 
 
 def test_faces_traces_once(monkeypatch, capsys):

@@ -81,7 +81,7 @@ def test_refinement_counts(n2, case1, case3):
         assert ref.map.n_edges == 8 * r
         walks = facial_walks(ref.map)
         assert len(walks) == 4 * r
-        assert all(w.length == 4 for w in walks)
+        assert all(len(w) == 4 for w in walks)
         assert euler_characteristic(ref.map) == 0
         assert ref.base is m
 
@@ -93,14 +93,15 @@ def test_refinement_faces_are_corners(case1):
     ref = refinement(case1)
     base_corners = Counter()
     for i, w in enumerate(facial_walks(case1)):
-        for v in w.vertices:
-            base_corners[(v, i + 1)] += 1
+        for d in w:
+            base_corners[(case1.dart_origin[d], i + 1)] += 1
     refined_corners = Counter()
     for w in facial_walks(ref.map):
-        levels = sorted(ref.level_of_vertex[v] for v in w.vertices)
+        corner = [ref.map.dart_origin[d] for d in w]
+        levels = sorted(ref.level_of_vertex[v] for v in corner)
         assert levels == [1, 2, 2, 3]
-        vname = next(v[1] for v in w.vertices if v[0] == "v")
-        fname = next(v[1] for v in w.vertices if v[0] == "f")
+        vname = next(v[1] for v in corner if v[0] == "v")
+        fname = next(v[1] for v in corner if v[0] == "f")
         refined_corners[(vname, fname)] += 1
     assert refined_corners == base_corners
 

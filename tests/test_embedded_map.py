@@ -36,11 +36,11 @@ def test_rotation_and_degree(n2):
 def test_facial_walks_n2(n2):
     walks = facial_walks(n2)
     assert len(walks) == 2
-    assert walks[0].darts == (0, 3, 4, 7)
-    assert walks[0].vertices == ("v1", "v2", "v1", "v2")
-    assert walks[0].edges == ("a", "b", "c", "d")
-    assert walks[1].darts == (1, 2, 5, 6)
-    assert all(w.length == 4 for w in walks)
+    assert walks[0] == (0, 3, 4, 7)
+    assert tuple(n2.dart_origin[d] for d in walks[0]) == ("v1", "v2", "v1", "v2")
+    assert tuple(n2.edge_of(d) for d in walks[0]) == ("a", "b", "c", "d")
+    assert walks[1] == (1, 2, 5, 6)
+    assert all(len(w) == 4 for w in walks)
     assert face_degree_sequence(n2) == (4, 4)
     assert euler_characteristic(n2) == 0
     assert genus(n2) == 1
@@ -48,22 +48,24 @@ def test_facial_walks_n2(n2):
 
 def test_facial_walks_partition_darts(case1):
     walks = facial_walks(case1)
-    seen = [d for w in walks for d in w.darts]
+    assert all(type(w) is tuple and all(type(d) is int for d in w) for w in walks)
+    seen = [d for w in walks for d in w]
     assert sorted(seen) == list(range(case1.n_darts))
     # each walk starts at its least dart, and walks are listed by that dart
-    starts = [w.darts[0] for w in walks]
-    assert all(w.darts[0] == min(w.darts) for w in walks)
+    starts = [w[0] for w in walks]
+    assert all(w[0] == min(w) for w in walks)
     assert starts == sorted(starts)
 
 
 def test_case1_walks(case1):
     walks = facial_walks(case1)
-    assert [w.edges for w in walks] == [
+    assert [tuple(case1.edge_of(d) for d in w) for w in walks] == [
         ("a", "b", "c", "d", "e", "f"),
         ("a", "c", "e"),
         ("b", "d", "f"),
     ]
-    assert walks[0].vertices == ("v1", "v2", "v3", "v1", "v2", "v3")
+    assert tuple(case1.dart_origin[d] for d in walks[0]) == (
+        "v1", "v2", "v3", "v1", "v2", "v3")
     assert face_degree_sequence(case1) == (6, 3, 3)
     assert genus(case1) == 1
 
@@ -81,7 +83,7 @@ def test_walks_agree_with_independent_reading(n2, case1, case3):
         from newtonmaps import serialize
         doc = serialize(m)
         assert circuit_multiset(walk_circuits(doc)) == circuit_multiset(
-            [w.edges for w in facial_walks(m)])
+            [tuple(m.edge_of(d) for d in w) for w in facial_walks(m)])
         assert euler_from_doc(doc) == euler_characteristic(m)
 
 

@@ -94,7 +94,7 @@ def test_order2_atlas(atlas2):
     assert e.verdict == "newton"
     assert e.paper_label is None
     rep = e.representative
-    assert all(w.length == 4 for w in facial_walks(rep))
+    assert all(len(w) == 4 for w in facial_walks(rep))
 
 
 def test_order2_atlas_contains_fixture(n2, atlas2):

@@ -69,6 +69,8 @@ def test_orientation_marker_validated():
     ("order 2\norder 2\n" + N2_DOC.split("\n", 1)[1], 2, "duplicate order"),
     ("order zero\n", 1, "positive integer"),
     ("order 0\n", 1, "positive integer"),
+    ("order \u00b2\n", 1, "order needs one positive integer"),
+    ("order \u0661\n", 1, "order needs one positive integer"),
     ("order 2\nedge a v1\n", 2, "edge needs"),
     ("order 2\nedge a v1 v2\nedge a v1 v2\n", 3, "duplicate edge"),
     ("order 1\nedge a v1 v1\nrot v1\n", 3, "at least one token"),

@@ -47,7 +47,7 @@ def test_document_round_trip(data):
 @given(st.data())
 def test_walks_partition_darts(data):
     m = draw_map(data)
-    darts = [d for w in facial_walks(m) for d in w.darts]
+    darts = [d for w in facial_walks(m) for d in w]
     assert sorted(darts) == list(range(m.n_darts))
 
 
