@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .embedded_map import (EmbeddedMap, MapStructureError, UnsuitableMapError,
-                           mirror, validate)
+                           _cycles, mirror, validate)
 
 
 class WitnessError(RuntimeError):
@@ -98,10 +98,10 @@ def _map_from_trace(trace: tuple[int, ...]) -> EmbeddedMap:
     """The map a canonical key's trace describes: its class representative.
 
     Edge k (named a, b, ...) is the k-th dart pair in trace order, its
-    lower trace dart becoming dart 2k; vertices become v1, v2, ... in the
-    order of their least trace dart.  So every member of a class yields
-    the identical map object.  In the reflection-allowed sense the
-    representative may be a mirror image.
+    lower trace dart becoming dart 2k; vertices v1, v2, ... are the
+    trace's sigma-cycles in the order of their least trace dart.  So
+    every member of a class yields the identical map object.  In the
+    reflection-allowed sense the representative may be a mirror image.
     """
     n = len(trace) // 2
     sigma, alpha = trace[0::2], trace[1::2]
@@ -109,20 +109,17 @@ def _map_from_trace(trace: tuple[int, ...]) -> EmbeddedMap:
     pairs = [d for d in range(n) if d < alpha[d]]
     for k, d in enumerate(pairs):
         dart[d], dart[alpha[d]] = 2 * k, 2 * k + 1
-    vertices = []
+    cycles = _cycles(sigma)
+    vertices = tuple(f"v{i + 1}" for i in range(len(cycles)))
     origin: list = [None] * n
-    for d0 in range(n):
-        if origin[dart[d0]] is None:
-            vertices.append(f"v{len(vertices) + 1}")
-            d = d0
-            while origin[dart[d]] is None:
-                origin[dart[d]] = vertices[-1]
-                d = sigma[d]
+    for v, cyc in zip(vertices, cycles):
+        for d in cyc:
+            origin[dart[d]] = v
     new_sigma = [0] * n
     for d in range(n):
         new_sigma[dart[d]] = dart[sigma[d]]
     edges = tuple(_edge_label(k) for k in range(len(pairs)))
-    return EmbeddedMap(tuple(vertices), edges, tuple(new_sigma), tuple(origin))
+    return EmbeddedMap(vertices, edges, tuple(new_sigma), tuple(origin))
 
 
 def _edge_label(k: int) -> str:

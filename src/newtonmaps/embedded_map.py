@@ -179,18 +179,22 @@ def _fault(message: str, vertex=None, edge=None) -> MapStructureError:
     return exc
 
 
-def _cycle_count(perm) -> int:
+def _cycles(perm) -> tuple[tuple[int, ...], ...]:
+    """The cycles of a permutation of range(len(perm)), each starting at
+    its least element and listed by that element."""
     seen = [False] * len(perm)
-    count = 0
+    cycles = []
     for start in range(len(perm)):
         if seen[start]:
             continue
-        count += 1
+        cyc = []
         d = start
         while not seen[d]:
             seen[d] = True
+            cyc.append(d)
             d = perm[d]
-    return count
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
 
 
 def validate(m: EmbeddedMap) -> ValidationReport:
@@ -227,7 +231,7 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
     for v in m.vertices:
         if v not in present:
             defects.append(Defect("isolated-vertex", f"vertex {v!r} has no darts"))
-    if not mixes and _cycle_count(m.sigma) != len(present):
+    if not mixes and len(_cycles(m.sigma)) != len(present):
         defects.append(Defect("split-vertex",
                               "a vertex's darts form more than one sigma cycle"))
 
@@ -275,19 +279,7 @@ def facial_walks(m: EmbeddedMap) -> tuple[tuple[int, ...], ...]:
 
 
 def _trace_faces(m: EmbeddedMap) -> tuple[tuple[int, ...], ...]:
-    walks = []
-    seen = [False] * m.n_darts
-    for d0 in range(m.n_darts):
-        if seen[d0]:
-            continue
-        orbit = []
-        d = d0
-        while not seen[d]:
-            seen[d] = True
-            orbit.append(d)
-            d = m.sigma[d ^ 1]
-        walks.append(tuple(orbit))
-    return tuple(walks)
+    return _cycles([m.sigma[d ^ 1] for d in range(m.n_darts)])
 
 
 def _repeated_edge(m: EmbeddedMap) -> Optional[tuple[int, int]]:
@@ -329,27 +321,16 @@ def mirror(m: EmbeddedMap) -> EmbeddedMap:
     return EmbeddedMap(m.vertices, m.edges, tuple(inv), m.dart_origin)
 
 
-def relabel(m: EmbeddedMap,
-            edge_order: Optional[Sequence[int]] = None,
-            flips: Optional[Sequence[int]] = None,
-            rng: Optional[random.Random] = None) -> EmbeddedMap:
-    """An isomorphic copy of m with edges renumbered and ends optionally swapped.
+def relabel(m: EmbeddedMap, rng: random.Random) -> EmbeddedMap:
+    """An isomorphic copy of m with edges renumbered and ends swapped at random.
 
-    edge_order is a permutation of range(n_edges) giving the new edge
-    sequence; flips[k] = 1 swaps the two darts of (old) edge k.  With rng
-    set and the explicit arguments omitted, both are drawn at random.
+    rng first shuffles the edge sequence, then draws one flip bit per old
+    edge; a set bit swaps that edge's two darts.
     """
     ne = m.n_edges
-    if rng is not None:
-        if edge_order is None:
-            edge_order = list(range(ne))
-            rng.shuffle(edge_order)
-        if flips is None:
-            flips = [rng.randrange(2) for _ in range(ne)]
-    if edge_order is None:
-        edge_order = list(range(ne))
-    if flips is None:
-        flips = [0] * ne
+    edge_order = list(range(ne))
+    rng.shuffle(edge_order)
+    flips = [rng.randrange(2) for _ in range(ne)]
     pos = {old: new for new, old in enumerate(edge_order)}
     perm = [0] * m.n_darts  # old dart -> new dart
     for k in range(ne):
@@ -363,4 +344,3 @@ def relabel(m: EmbeddedMap,
         origin[perm[d]] = m.dart_origin[d]
     return EmbeddedMap(m.vertices, tuple(m.edges[k] for k in edge_order),
                        tuple(sigma), tuple(origin))
-

@@ -23,7 +23,8 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import permutations
+from itertools import (chain, combinations, combinations_with_replacement,
+                       permutations, product)
 from typing import Iterator, Optional, Sequence
 
 from .canon import CanonicalKey, canonical_key, _edge_label, _map_from_trace
@@ -80,65 +81,34 @@ class ClassificationReport:
     strata: tuple[Stratum, ...]
 
 
-def _pairs(order: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(order) for j in range(i + 1, order)]
-
-
 def _multiplicity_vectors(order: int, min_degree: int) -> list[tuple[int, ...]]:
-    pairs = _pairs(order)
-    target = 2 * order
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, left: int, acc: list[int]) -> None:
-        if pos == len(pairs):
-            if left == 0:
-                deg = [0] * order
-                for (i, j), c in zip(pairs, acc):
-                    deg[i] += c
-                    deg[j] += c
-                if all(d >= min_degree for d in deg):
-                    out.append(tuple(acc))
-            return
-        for c in range(left + 1):
-            acc.append(c)
-            rec(pos + 1, left - c, acc)
-            acc.pop()
-
-    rec(0, target, [])
-    return out
+    """Edge counts per vertex pair of the 2r-edge multigraphs, sorted."""
+    pairs = list(combinations(range(order), 2))
+    out = []
+    for edges in combinations_with_replacement(pairs, 2 * order):
+        deg = Counter(chain.from_iterable(edges))
+        if all(deg[v] >= min_degree for v in range(order)):
+            out.append(tuple(edges.count(p) for p in pairs))
+    return sorted(out)
 
 
 def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMap]:
-    pairs = _pairs(order)
-    ends: list[tuple[int, int]] = []
-    for (i, j), c in zip(pairs, mult):
-        ends.extend([(i, j)] * c)
-    n = 4 * order
+    pairs = combinations(range(order), 2)
+    # dart -> vertex index; darts 2k and 2k+1 of edge k sit at its pair's ends
+    ends = [i for p, c in zip(pairs, mult) for _ in range(c) for i in p]
     vertices = tuple(f"v{i + 1}" for i in range(order))
     edges = tuple(_edge_label(k) for k in range(2 * order))
-    origin = [""] * n
-    darts_at: list[list[int]] = [[] for _ in range(order)]
-    for k, (i, j) in enumerate(ends):
-        darts_at[i].append(2 * k)
-        darts_at[j].append(2 * k + 1)
-        origin[2 * k] = vertices[i]
-        origin[2 * k + 1] = vertices[j]
-    origin_t = tuple(origin)
-    # first dart of each rotation pinned; permute the rest
-    choices = [list(permutations(lst[1:])) for lst in darts_at]
-
-    def rec(vi: int, sigma: list[int]) -> Iterator[EmbeddedMap]:
-        if vi == order:
-            yield EmbeddedMap(vertices, edges, tuple(sigma), origin_t)
-            return
-        anchor = darts_at[vi][0]
-        for tail in choices[vi]:
-            cyc = (anchor,) + tail
-            for i, d in enumerate(cyc):
-                sigma[d] = cyc[(i + 1) % len(cyc)]
-            yield from rec(vi + 1, sigma)
-
-    yield from rec(0, [0] * n)
+    origin = tuple(vertices[i] for i in ends)
+    darts_at = [[d for d, i in enumerate(ends) if i == v] for v in range(order)]
+    # first dart of each rotation pinned; each rotation as its (dart, next) steps
+    cycles = [[(d0,) + tail for tail in permutations(rest)] for d0, *rest in darts_at]
+    rotations = [[tuple(zip(c, c[1:] + c[:1])) for c in cs] for cs in cycles]
+    sigma = [0] * len(ends)
+    for choice in product(*rotations):
+        for steps in choice:
+            for d, nxt in steps:
+                sigma[d] = nxt
+        yield EmbeddedMap(vertices, edges, tuple(sigma), origin)
 
 
 def _scan_vector(args) -> set:
@@ -234,6 +204,8 @@ def _atlas_entry(rep: EmbeddedMap) -> AtlasEntry:
 
 def _pairing(entries: Sequence[AtlasEntry]):
     by_key = {e.key.hex(): e for e in entries}
+    if len(by_key) != len(entries):
+        raise ClassificationMismatchError("atlas lists a class more than once")
     self_dual = []
     pairs = []
     for e in entries:
@@ -419,7 +391,9 @@ def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
     """Audit of a (possibly re-read) atlas.
 
     Each entry must equal, labels aside, the entry its representative
-    derives, and every class's dual must be in the atlas.
+    derives; the representative must be the map its key decodes to and
+    carry the entry's Newton verdict; and every class must appear once,
+    together with its dual.
     """
     unlabeled = [f.name for f in fields(AtlasEntry)
                  if f.name not in ("paper_label", "label_ambiguous")]
@@ -430,6 +404,15 @@ def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
                 raise ClassificationMismatchError(
                     f"entry {e.key.hex()[:12]}: field {name!r} does not match "
                     "its representative")
+        # the fields matched, so the key is the representative's own and decodes
+        if e.representative != _map_from_trace(e.key.trace):
+            raise ClassificationMismatchError(
+                f"entry {e.key.hex()[:12]}: representative is not the map "
+                "its key describes")
+        if is_newton(e.representative, e.order).verdict != e.verdict:
+            raise ClassificationMismatchError(
+                f"entry {e.key.hex()[:12]}: representative does not have "
+                f"verdict {e.verdict!r}")
     _pairing(entries)
 
 

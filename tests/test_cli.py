@@ -2,14 +2,17 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from conftest import (FIXTURES, ROOT, build_chiral, build_efail_n2,
-                      build_sphere_n2)
-from newtonmaps import cli, embedded_map, make_map, mirror, serialize
+                      build_sphere_n2, canonical_form)
+from newtonmaps import (atlas_to_jsonl, cli, dual, embedded_map, make_map,
+                        mirror, parse, relabel, serialize)
+from newtonmaps.enumeration import _atlas_entry
 from test_canon import N2_KEY_HEX
 from test_duality import CASE1_DUAL_DOC
 
@@ -351,8 +354,12 @@ def test_atlas_audit_catches_corruption(tmp_path):
     lambda recs: recs[0].update(self_dual_op=not recs[0]["self_dual_op"]),
     lambda recs: recs[0].update(verdict="e-only"),
     lambda recs: [r.update(order=4) for r in recs],
+    lambda recs: recs.append(dict(recs[0])),
+    # an isomorphic copy derives every field but is not its key's map
+    lambda recs: recs[0].update(representative=serialize(relabel(
+        parse(recs[0]["representative"]), rng=random.Random(1)))),
 ], ids=["chiral-op_forms", "delta", "delta_star", "max_face", "self_dual_op",
-        "verdict", "order-all"])
+        "verdict", "order-all", "duplicate-class", "non-canonical-representative"])
 def test_atlas_audit_rederives_every_field(tmp_path, edit):
     records = [json.loads(line) for line in
                (FIXTURES / "atlas_order3.jsonl").read_text().splitlines()]
@@ -362,6 +369,23 @@ def test_atlas_audit_rederives_every_field(tmp_path, edit):
     r = run_cli("atlas", str(bad))
     assert r.returncode == 4
     assert "internal consistency failure" in r.stderr
+
+
+@pytest.mark.parametrize("build", [build_efail_n2, build_sphere_n2])
+@pytest.mark.parametrize("canonical", [False, True], ids=["as-built", "canonical"])
+def test_atlas_audit_refuses_non_newton_classes(tmp_path, build, canonical):
+    # every field derives from the map, so only the key and verdict checks
+    # can tell this atlas from a genuine one
+    m = build()
+    reps = [m, dual(m)]
+    if canonical:
+        reps = [canonical_form(x) for x in reps]
+    path = tmp_path / "forged.jsonl"
+    path.write_text(atlas_to_jsonl([_atlas_entry(x) for x in reps]))
+    r = run_cli("atlas", str(path))
+    assert r.returncode == 4
+    reason = "does not have verdict" if canonical else "not the map its key"
+    assert reason in r.stderr
 
 
 def _atlas_line(edit):

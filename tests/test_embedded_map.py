@@ -240,10 +240,19 @@ def test_mirror_involution(n2, case1):
 
 
 def test_relabel_explicit(n2):
-    m = relabel(n2, edge_order=[1, 0, 2, 3], flips=[1, 0, 0, 0])
-    assert m.edges == ("b", "a", "c", "d")
-    # old edge 0 lands in slot 1 with its ends swapped
-    assert m.endpoints(1) == ("v2", "v1")
+    m = relabel(n2, rng=random.Random(3))
+    # replay relabel's draws: one shuffle of the edge sequence, then one
+    # flip bit per old edge
+    replay = random.Random(3)
+    edge_order = list(range(4))
+    replay.shuffle(edge_order)
+    flips = [replay.randrange(2) for _ in range(4)]
+    assert edge_order != sorted(edge_order) and 0 < sum(flips) < 4
+    assert m.edges == tuple(n2.edges[k] for k in edge_order)
+    # slot new holds old edge edge_order[new], its ends swapped when flipped
+    for new, old in enumerate(edge_order):
+        ends = n2.endpoints(old)
+        assert m.endpoints(new) == (ends[::-1] if flips[old] else ends)
     assert degree_sequence(m) == degree_sequence(n2)
     assert face_degree_sequence(m) == face_degree_sequence(n2)
     assert are_equivalent(m, n2, False)

@@ -1,6 +1,8 @@
 """Exhaustive enumeration, classification, labeling, and atlas files."""
 
 import dataclasses
+import itertools
+import math
 import os
 import random
 from collections import Counter
@@ -15,6 +17,7 @@ from newtonmaps import (ClassificationMismatchError, Stratum,
                         enumerate_newton, facial_walks, is_newton, label_atlas,
                         parse, report_to_json, serialize, strata_check,
                         validate, verify_atlas)
+from newtonmaps.embedded_map import _cycles
 from newtonmaps.enumeration import (_multiplicity_vectors, _resolve_jobs,
                                     _vector_candidates)
 
@@ -73,6 +76,38 @@ def test_multiplicity_vectors():
     loose = _multiplicity_vectors(3, 1)
     assert set(vecs) <= set(loose)
     assert (5, 1, 0) in loose
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_multiplicity_vectors_match_brute_force(order):
+    pairs = list(itertools.combinations(range(order), 2))
+    want = {1: [], 2: []}
+    for vec in itertools.product(range(2 * order + 1), repeat=len(pairs)):
+        if sum(vec) != 2 * order:
+            continue
+        deg = [0] * order
+        for (i, j), c in zip(pairs, vec):
+            deg[i] += c
+            deg[j] += c
+        for min_degree, vecs in want.items():
+            if min(deg) >= min_degree:
+                vecs.append(vec)
+    for min_degree, vecs in want.items():
+        assert _multiplicity_vectors(order, min_degree) == vecs
+
+
+def test_vector_candidates_are_every_rotation_system_once():
+    # first dart of each vertex pinned: (deg v - 1)! rotations per vertex
+    for mult in _multiplicity_vectors(3, 1):
+        maps = list(_vector_candidates(3, mult))
+        assert len({m.sigma for m in maps}) == len(maps)
+        first = maps[0]
+        assert len(maps) == math.prod(math.factorial(first.degree(v) - 1)
+                                      for v in first.vertices)
+        for m in maps:
+            assert validate(m).ok
+            assert (sorted(map(sorted, _cycles(m.sigma)))
+                    == sorted(list(m.darts_at(v)) for v in m.vertices))
 
 
 def test_newton_candidate_count_order3():

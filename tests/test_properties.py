@@ -10,6 +10,7 @@ from conftest import canonical_form, raw_candidates
 from newtonmaps import (are_equivalent, canonical_key, check_e_property, dual,
                         euler_characteristic, facial_walks, genus, mirror,
                         parse, relabel, serialize)
+from newtonmaps.embedded_map import _cycles
 
 common = settings(max_examples=40, deadline=None)
 
@@ -103,3 +104,15 @@ def test_canonical_form_is_stable(data):
     assert canonical_form(cf) == cf
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     assert serialize(canonical_form(relabel(m, rng=rng))) == serialize(cf)
+
+
+@common
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_cycles_partition_a_permutation(perm):
+    cycles = _cycles(perm)
+    assert sorted(d for c in cycles for d in c) == list(range(len(perm)))
+    for c in cycles:
+        assert c[0] == min(c)
+        assert all(perm[d] == c[(i + 1) % len(c)] for i, d in enumerate(c))
+    starts = [c[0] for c in cycles]
+    assert starts == sorted(starts)
