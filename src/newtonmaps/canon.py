@@ -6,6 +6,12 @@ admits conjugating sigma to its inverse.  The canonical key is the
 lexicographically least breadth-first trace over all root darts (and,
 in the reflection-allowed sense, over both chiralities), so equal keys
 mean equivalent maps and the key is independent of labeling.
+
+The search finds that minimum as nauty does (McKay 1981; McKay and
+Piperno 2014).  A root is dropped at its first trace entry above the
+best so far.  Two roots with equal traces give an automorphism, and
+darts in one orbit have equal traces, so only the least dart of each
+orbit found so far is tried as a root.  Neither changes the minimum.
 """
 
 from __future__ import annotations
@@ -51,37 +57,69 @@ class IsoResult:
         return self.equivalent
 
 
-def _trace_from(sigma, root: int):
-    """Breadth-first relabeling from root; returns (trace, visit order)."""
-    idx = {root: 0}
+def _trace_from(sigma, root: int, bound: tuple[int, ...]):
+    """Breadth-first relabeling from root: (trace, visit order), or (None,
+    None) at the first entry that makes the trace exceed bound."""
+    idx = [-1] * len(sigma)
+    idx[root] = 0
     order = [root]
     trace = []
+    tied = bool(bound)  # the trace so far equals bound's prefix
     for d in order:
         for nxt in (sigma[d], d ^ 1):
-            if nxt not in idx:
-                idx[nxt] = len(order)
+            i = idx[nxt]
+            if i < 0:
+                i = idx[nxt] = len(order)
                 order.append(nxt)
-            trace.append(idx[nxt])
+            if tied and i != bound[len(trace)]:
+                if i > bound[len(trace)]:
+                    return None, None
+                tied = False
+            trace.append(i)
     return tuple(trace), order
 
 
-def _best_trace(sigma):
-    """Least trace over all roots for a fixed chirality."""
-    best = None
-    best_order = None
+def _best_trace(sigma, bound: tuple[int, ...] = ()):
+    """Least trace over all roots for a fixed chirality, as (trace, order).
+
+    Roots are traced against the best trace so far, starting from bound;
+    (bound, None) means none reached it.  A root tying the bound becomes
+    the best root, so that a later tie pairs its visit order with the
+    best root's into an automorphism.  A union-find over darts keeps its
+    orbits by least dart, and a root whose orbit holds a smaller, earlier
+    tried dart is skipped.
+    """
+    orbit = list(range(len(sigma)))
+
+    def find(d: int) -> int:
+        while orbit[d] != d:
+            orbit[d] = d = orbit[orbit[d]]
+        return d
+
+    best, best_order = bound, None
     for root in range(len(sigma)):
-        trace, order = _trace_from(sigma, root)
-        if best is None or trace < best:
+        if find(root) != root:
+            continue
+        trace, order = _trace_from(sigma, root, best)
+        if trace is None:
+            continue
+        if best_order is not None and trace == best:
+            for d, e in zip(best_order, order):
+                d, e = find(d), find(e)
+                orbit[max(d, e)] = min(d, e)
+        else:
             best, best_order = trace, order
     return best, best_order
 
 
 def _best_trace_sided(m: EmbeddedMap, allow_reflection: bool):
-    """Returns (trace, order, mirrored) minimizing over permitted chiralities."""
+    """Returns (trace, order, mirrored) minimizing over permitted chiralities;
+    the mirror, searched with the first chirality's trace as its bound,
+    wins only when strictly smaller."""
     trace, order = _best_trace(m.sigma)
     mirrored = False
     if allow_reflection:
-        trace2, order2 = _best_trace(mirror(m).sigma)
+        trace2, order2 = _best_trace(mirror(m).sigma, trace)
         if trace2 < trace:
             trace, order, mirrored = trace2, order2, True
     return trace, order, mirrored

@@ -55,8 +55,8 @@ class EmbeddedMap:
     vertices and edges are identifier tuples in display order; dart_origin
     maps each dart to the vertex it emanates from.  The edge pairing alpha
     is the derived property d -> d ^ 1.  The fields are immutable, so the
-    validation report and the facial walks are computed at most once per
-    map and kept out of equality, hashing and repr.
+    validation report, facial walks and vertex rotations are computed at
+    most once per map and kept out of equality, hashing and repr.
     """
 
     vertices: tuple
@@ -71,6 +71,11 @@ class EmbeddedMap:
     @cached_property
     def _walks(self) -> tuple[tuple[int, ...], ...]:
         return _trace_faces(self)
+
+    @cached_property
+    def _rotations(self) -> dict:
+        # reversed, so a vertex keeps its first cycle, at its least dart
+        return {self.dart_origin[c[0]]: c for c in _cycles(self.sigma)[::-1]}
 
     @property
     def alpha(self) -> tuple[int, ...]:
@@ -102,13 +107,7 @@ class EmbeddedMap:
 
     def rotation_at(self, vertex) -> tuple[int, ...]:
         """The sigma-cycle at vertex, rotated to start at its smallest dart."""
-        anchor = min(self.darts_at(vertex))
-        cyc = [anchor]
-        d = self.sigma[anchor]
-        while d != anchor:
-            cyc.append(d)
-            d = self.sigma[d]
-        return tuple(cyc)
+        return self._rotations[vertex]
 
 
 def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
@@ -306,7 +305,8 @@ def genus(m: EmbeddedMap) -> int:
 
 
 def degree_sequence(m: EmbeddedMap) -> tuple[int, ...]:
-    return tuple(sorted((m.degree(v) for v in m.vertices), reverse=True))
+    degree = Counter(m.dart_origin)
+    return tuple(sorted((degree[v] for v in m.vertices), reverse=True))
 
 
 def face_degree_sequence(m: EmbeddedMap) -> tuple[int, ...]:

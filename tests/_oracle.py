@@ -5,7 +5,8 @@ are recomputed straight from document text via rotation lists and the
 corner rule (arrive on an edge-end, leave on its anti-clockwise
 successor), so agreement with the package is a genuine two-path check.
 Map equivalence is decided by anchored exhaustive propagation, without
-the canonical keys.
+the canonical keys, and the canonical key search is checked against the
+search it replaced, which traces every root in full.
 """
 
 from __future__ import annotations
@@ -138,3 +139,41 @@ def brute_force_iso(a, b, allow_reflection: bool = True) -> bool:
             if _propagate(a.sigma, sb, t):
                 return True
     return False
+
+
+def trace_from(sigma, root: int):
+    """Breadth-first relabeling from root; returns (trace, visit order)."""
+    idx = {root: 0}
+    order = [root]
+    trace = []
+    for d in order:
+        for nxt in (sigma[d], d ^ 1):
+            if nxt not in idx:
+                idx[nxt] = len(order)
+                order.append(nxt)
+            trace.append(idx[nxt])
+    return tuple(trace), order
+
+
+def full_search_trace(sigma):
+    """Least trace over all roots for a fixed chirality, every root traced
+    in full; returns (trace, visit order of the first root attaining it)."""
+    best = None
+    best_order = None
+    for root in range(len(sigma)):
+        trace, order = trace_from(sigma, root)
+        if best is None or trace < best:
+            best, best_order = trace, order
+    return best, best_order
+
+
+def full_search_sided(sigma, allow_reflection: bool):
+    """(trace, order, mirrored) of the full search over permitted chiralities;
+    the mirror, every rotation reversed, wins only when strictly smaller."""
+    trace, order = full_search_trace(sigma)
+    mirrored = False
+    if allow_reflection:
+        trace2, order2 = full_search_trace(_inverse(sigma))
+        if trace2 < trace:
+            trace, order, mirrored = trace2, order2, True
+    return trace, order, mirrored

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from _oracle import SizeGuardError, brute_force_iso
-from conftest import build_chiral, build_sphere_n2, canonical_form
+from _oracle import (SizeGuardError, brute_force_iso, full_search_sided,
+                     trace_from)
+from conftest import (build_chiral, build_sphere_n2, canonical_form,
+                      raw_candidates)
 from newtonmaps import (CanonicalKey, MapStructureError, are_equivalent,
-                        canonical_key, dual, make_map, mirror, parse,
-                        refinement, relabel, serialize, validate)
+                        canon, canonical_key, dual, is_newton, make_map,
+                        mirror, parse, refinement, relabel, serialize,
+                        validate)
 
 N2_KEY_HEX = "01020304040005060601000707030205"
 
@@ -176,3 +179,80 @@ def test_dual_key_closure(case1, case3):
     for m in (case1, case3):
         d = dual(m)
         assert canonical_key(dual(d), True) == canonical_key(m, True)
+
+
+def _torus_grid(k: int, l: int):
+    """The k x l square grid on the torus: 4kl darts, every root ties."""
+    def x(i, j):
+        return f"x{i % k}_{j % l}"
+    edges, rotations = [], {}
+    for i in range(k):
+        for j in range(l):
+            edges += [(f"h{i}_{j}", (x(i, j), x(i + 1, j))),
+                      (f"u{i}_{j}", (x(i, j), x(i, j + 1)))]
+            # anti-clockwise: east, north, west, south
+            rotations[x(i, j)] = [f"h{i}_{j}", f"u{i}_{j}",
+                                  f"h{(i - 1) % k}_{j}", f"u{i}_{(j - 1) % l}"]
+    return make_map(edges, rotations)
+
+
+def _random_multigraph(rng: random.Random, n_edges: int):
+    """A connected loopless multigraph with random rotations: high genus,
+    usually without symmetry."""
+    n_vertices = max(2, n_edges // 3)
+    pairs = [(rng.randrange(v), v) for v in range(1, n_vertices)]
+    while len(pairs) < n_edges:
+        a, b = rng.randrange(n_vertices), rng.randrange(n_vertices)
+        if a != b:
+            pairs.append((a, b))
+    edges = [(f"e{k}", (f"v{a}", f"v{b}")) for k, (a, b) in enumerate(pairs)]
+    rotations: dict = {f"v{i}": [] for i in range(n_vertices)}
+    for name, (u, v) in edges:
+        rotations[u].append(name)
+        rotations[v].append(name)
+    for toks in rotations.values():
+        rng.shuffle(toks)
+    return make_map(edges, rotations)
+
+
+def test_key_search_matches_full_search():
+    # the pruned search must find the full search's minimum, chirality and
+    # a root whose visit order reaches that minimum
+    rng = random.Random(23)
+    accepted = [m for m in raw_candidates(3)
+                if is_newton(m, 3).verdict == "newton"]
+    assert len(accepted) == 1372
+    maps = accepted + [mirror(m) for m in accepted]
+    maps += [_torus_grid(k, l) for k, l in ((3, 3), (3, 5), (4, 7), (8, 10))]
+    maps += [_random_multigraph(rng, e) for e in (12, 30, 60, 100, 160)]
+    assert max(m.n_darts for m in maps) == 320
+    for m in maps + [relabel(m, rng) for m in maps]:
+        for sense in (True, False):
+            trace, order, mirrored = canon._best_trace_sided(m, sense)
+            want, _, want_mirrored = full_search_sided(m.sigma, sense)
+            assert (trace, mirrored) == (want, want_mirrored)
+            sigma = mirror(m).sigma if mirrored else m.sigma
+            assert trace_from(sigma, order[0]) == (trace, order)
+    for m in maps[-9:]:
+        for sense in (True, False):
+            assert are_equivalent(m, relabel(m, rng), sense)
+
+
+def test_key_search_prunes_ties_on_symmetric_grid(monkeypatch):
+    # every root of a grid ties; pairing tied visit orders into
+    # automorphisms must leave only a few roots per chirality to trace,
+    # including in the mirror pass, whose first tie is with the bound
+    finished = []
+    real = canon._trace_from
+
+    def counting(sigma, root, bound):
+        trace, order = real(sigma, root, bound)
+        finished.append(trace is not None)
+        return trace, order
+
+    monkeypatch.setattr(canon, "_trace_from", counting)
+    grid = _torus_grid(9, 9)
+    key = canonical_key(grid, True)
+    assert grid.n_darts == 324
+    assert sum(finished) <= 10
+    assert key.trace == full_search_sided(grid.sigma, True)[0]
