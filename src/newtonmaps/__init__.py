@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .canon import (CanonicalKey, IsoResult, WitnessError, are_equivalent,
                     canonical_key)
-from .duality import PGraph, RefinedMap, abstract_p_graph, dual, refinement
+from .duality import PGraph, abstract_p_graph, dual, refinement
 from .embedded_map import (Defect, EmbeddedMap, MapStructureError,
                            UnsuitableMapError, ValidationReport,
                            degree_sequence, euler_characteristic,
@@ -23,21 +23,19 @@ from .enumeration import (AtlasEntry, ClassificationMismatchError,
                           strata_check, verify_atlas)
 from .mapdoc import ParseError, map_to_dot, map_to_json_dict, parse, serialize
 from .newton import (EPropertyReport, EWitness, NewtonReport, SelfDuality,
-                     check_degree_bounds, check_e_property, is_newton,
-                     self_duality)
+                     is_newton, self_duality)
 
 __all__ = [
     "AtlasEntry", "CanonicalKey", "ClassificationMismatchError",
     "ClassificationReport", "Defect", "EPropertyReport", "EWitness",
     "EmbeddedMap", "IsoResult", "MapStructureError", "NewtonReport",
-    "PGraph", "ParseError", "RefinedMap", "SelfDuality", "Stratum",
-    "UnsuitableMapError", "UnsupportedOrderError", "ValidationReport",
-    "WitnessError", "abstract_p_graph", "are_equivalent",
-    "atlas_from_jsonl", "atlas_to_jsonl", "canonical_key",
-    "check_degree_bounds", "check_e_property", "classify", "degree_sequence",
-    "dual", "enumerate_newton", "euler_characteristic", "face_degree_sequence",
-    "facial_walks", "genus", "is_newton", "label_atlas", "make_map",
-    "map_to_dot", "map_to_json_dict", "mirror", "parse", "refinement",
-    "relabel", "report_to_json", "self_duality", "serialize", "strata_check",
-    "validate", "verify_atlas",
+    "PGraph", "ParseError", "SelfDuality", "Stratum", "UnsuitableMapError",
+    "UnsupportedOrderError", "ValidationReport", "WitnessError",
+    "abstract_p_graph", "are_equivalent", "atlas_from_jsonl",
+    "atlas_to_jsonl", "canonical_key", "classify", "degree_sequence",
+    "dual", "enumerate_newton", "euler_characteristic",
+    "face_degree_sequence", "facial_walks", "genus", "is_newton",
+    "label_atlas", "make_map", "map_to_dot", "map_to_json_dict", "mirror",
+    "parse", "refinement", "relabel", "report_to_json", "self_duality",
+    "serialize", "strata_check", "validate", "verify_atlas",
 ]

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -112,18 +113,16 @@ def cmd_dual(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    ref = refinement(_load(args.file))
-    m = ref.map
-    levels = {1: 0, 2: 0, 3: 0}
-    for v in m.vertices:
-        levels[ref.level_of_vertex[v]] += 1
+    m = refinement(_load(args.file))
+    tags = Counter(tag for tag, _ in m.vertices)
+    levels = [tags["v"], tags["s"], tags["f"]]
     n_faces = len(facial_walks(m))
     if args.format == "json":
         _emit_json({"vertices": m.order, "edges": m.n_edges, "faces": n_faces,
-                    "levels": {str(k): v for k, v in levels.items()}})
+                    "levels": {str(i + 1): c for i, c in enumerate(levels)}})
     else:
-        print(f"vertices {m.order} (level1 {levels[1]}, level2 {levels[2]}, "
-              f"level3 {levels[3]})")
+        print(f"vertices {m.order} (level1 {levels[0]}, level2 {levels[1]}, "
+              f"level3 {levels[2]})")
         print(f"edges {m.n_edges}")
         print(f"faces {n_faces}")
     return 0

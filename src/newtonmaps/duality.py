@@ -34,30 +34,17 @@ def dual(m: EmbeddedMap) -> EmbeddedMap:
 
 
 def _require_no_repeated_edge(m: EmbeddedMap) -> None:
-    if _repeated_edge(m) is not None:
+    if _repeated_edge(facial_walks(m)) is not None:
         raise MapStructureError(
             "refinement needs every facial walk to use each edge at most once")
 
 
-@dataclass(frozen=True)
-class RefinedMap:
-    """The common refinement of a map and its dual, as a map in its own right.
-
-    map: the refinement; base: the original map.  Vertices of the
-    refinement are tagged tuples: ("v", vertex) at level 1, ("s", edge)
-    at level 2 for the crossing point of e and its dual edge, and
-    ("f", i) at level 3 for face i.  intersection_of recovers which edge
-    pair each level-2 vertex subdivides.
-    """
-
-    map: EmbeddedMap
-    base: EmbeddedMap
-    level_of_vertex: dict
-    intersection_of: dict
-
-
-def refinement(m: EmbeddedMap) -> RefinedMap:
+def refinement(m: EmbeddedMap) -> EmbeddedMap:
     """Subdivide every edge at its dual crossing and join crossings to faces.
+
+    Vertices of the refinement are tagged tuples, and the tag gives the
+    level: ("v", vertex) at level 1, ("s", e) at level 2 for the point
+    where edge e crosses its dual edge, and ("f", i) at level 3 for face i.
 
     Each dart d contributes a primal half-edge ("h", d) from d's origin to
     the crossing on d's edge, and a dual half-edge ("g", d) from that
@@ -93,13 +80,7 @@ def refinement(m: EmbeddedMap) -> RefinedMap:
     for i, w in enumerate(walks):
         rotations[("f", i + 1)] = [(("g", d), 1) for d in reversed(w)]
 
-    refined = make_map(edge_decls, rotations)
-    level = {}
-    for v in refined.vertices:
-        level[v] = {"v": 1, "s": 2, "f": 3}[v[0]]
-    crossing = {("s", e): e for e in m.edges}
-    return RefinedMap(map=refined, base=m, level_of_vertex=level,
-                      intersection_of=crossing)
+    return make_map(edge_decls, rotations)
 
 
 @dataclass(frozen=True)
@@ -114,9 +95,6 @@ class PGraph:
     level2: tuple
     level3: tuple
     arcs: tuple  # ((level, id), (level, id)) pairs
-
-    def out_degree(self, level: int, node) -> int:
-        return sum(1 for (a, _) in self.arcs if a == (level, node))
 
     def to_dot(self) -> str:
         """DOT rendering: level 1 as open circles, level 2 as points,

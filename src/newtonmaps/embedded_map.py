@@ -44,9 +44,6 @@ class ValidationReport:
     ok: bool
     defects: tuple[Defect, ...] = ()
 
-    def advisories(self) -> tuple[Defect, ...]:
-        return tuple(d for d in self.defects if d.advisory)
-
 
 @dataclass(frozen=True)
 class EmbeddedMap:
@@ -54,7 +51,7 @@ class EmbeddedMap:
 
     vertices and edges are identifier tuples in display order; dart_origin
     maps each dart to the vertex it emanates from.  The edge pairing alpha
-    is the derived property d -> d ^ 1.  The fields are immutable, so the
+    is d -> d ^ 1 and is not stored.  The fields are immutable, so the
     validation report, facial walks and vertex rotations are computed at
     most once per map and kept out of equality, hashing and repr.
     """
@@ -78,10 +75,6 @@ class EmbeddedMap:
         return {self.dart_origin[c[0]]: c for c in _cycles(self.sigma)[::-1]}
 
     @property
-    def alpha(self) -> tuple[int, ...]:
-        return tuple(d ^ 1 for d in range(self.n_darts))
-
-    @property
     def n_darts(self) -> int:
         return len(self.sigma)
 
@@ -98,12 +91,6 @@ class EmbeddedMap:
 
     def endpoints(self, edge_index: int) -> tuple:
         return (self.dart_origin[2 * edge_index], self.dart_origin[2 * edge_index + 1])
-
-    def darts_at(self, vertex) -> tuple[int, ...]:
-        return tuple(d for d in range(self.n_darts) if self.dart_origin[d] == vertex)
-
-    def degree(self, vertex) -> int:
-        return sum(1 for v in self.dart_origin if v == vertex)
 
     def rotation_at(self, vertex) -> tuple[int, ...]:
         """The sigma-cycle at vertex, rotated to start at its smallest dart."""
@@ -281,10 +268,11 @@ def _trace_faces(m: EmbeddedMap) -> tuple[tuple[int, ...], ...]:
     return _cycles([m.sigma[d ^ 1] for d in range(m.n_darts)])
 
 
-def _repeated_edge(m: EmbeddedMap) -> Optional[tuple[int, int]]:
-    """(walk index, dart) of the first walk holding both darts of an edge,
-    with that walk's first such dart; None when no walk repeats an edge."""
-    for i, w in enumerate(facial_walks(m)):
+def _repeated_edge(walks) -> Optional[tuple[int, int]]:
+    """(walk index, dart) of the first of the facial walks holding both
+    darts of an edge, with that walk's first such dart; None when no walk
+    repeats an edge."""
+    for i, w in enumerate(walks):
         darts = set(w)
         for d in w:
             if d ^ 1 in darts:

@@ -32,7 +32,7 @@ from .duality import dual
 from .embedded_map import (EmbeddedMap, degree_sequence, face_degree_sequence,
                            facial_walks, mirror, validate)
 from .mapdoc import ParseError, parse, serialize
-from .newton import is_newton
+from .newton import _accepted_verdict, is_newton
 
 
 class UnsupportedOrderError(ValueError):
@@ -143,7 +143,7 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
     """
     if order < 2:
         raise UnsupportedOrderError(f"order {order} < 2 has no Newton graphs")
-    if order >= 4:
+    if _accepted_verdict(order) == "e-only":
         warnings.warn(f"order {order}: angle condition unavailable; "
                       "running in e-only mode", stacklevel=2)
     tasks = [(order, mult) for mult in _multiplicity_vectors(order, 2)]
@@ -198,7 +198,7 @@ def _atlas_entry(rep: EmbeddedMap) -> AtlasEntry:
         self_dual_op=(canonical_key(d, False) == key_op),
         dual_key=dual_key,
         op_forms=op_forms,
-        verdict="newton" if rep.order <= 3 else "e-only",
+        verdict=_accepted_verdict(rep.order),
     )
 
 
@@ -393,7 +393,8 @@ def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
     Each entry must equal, labels aside, the entry its representative
     derives; the representative must be the map its key decodes to and
     carry the entry's Newton verdict; and every class must appear once,
-    together with its dual.
+    together with its dual.  At order 3 the labels must be those that
+    label_atlas gives, which also requires all 12 classes.
     """
     unlabeled = [f.name for f in fields(AtlasEntry)
                  if f.name not in ("paper_label", "label_ambiguous")]
@@ -414,6 +415,12 @@ def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
                 f"entry {e.key.hex()[:12]}: representative does not have "
                 f"verdict {e.verdict!r}")
     _pairing(entries)
+    if any(e.order == 3 for e in entries):
+        for e, want in zip(entries, label_atlas(entries)):
+            if e != want:  # only the labels can differ here
+                raise ClassificationMismatchError(
+                    f"entry {e.key.hex()[:12]}: paper label does not match "
+                    "its class")
 
 
 def report_to_json(r: ClassificationReport) -> str:

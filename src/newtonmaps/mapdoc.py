@@ -149,10 +149,9 @@ def serialize(m: EmbeddedMap) -> str:
             raise ValueError(f"edge id {e!r} not serializable")
 
     lines = [f"order {m.order}"]
-    for name in sorted(m.edges):
-        k = m.edges.index(name)
+    for k in sorted(range(m.n_edges), key=m.edges.__getitem__):
         u, v = m.endpoints(k)
-        lines.append(f"edge {name} {u} {v}")
+        lines.append(f"edge {m.edges[k]} {u} {v}")
     for vertex in sorted(m.vertices):
         lines.append(f"rot {vertex} " + " ".join(_rotation_tokens(m, vertex)))
     return "\n".join(lines) + "\n"
@@ -174,10 +173,6 @@ def map_to_dot(m: EmbeddedMap) -> str:
 def map_to_json_dict(m: EmbeddedMap) -> dict:
     rotations = {str(vertex): _rotation_tokens(m, vertex)
                  for vertex in sorted(m.vertices)}
-    return {
-        "order": m.order,
-        "edges": [[str(name), str(m.endpoints(m.edges.index(name))[0]),
-                   str(m.endpoints(m.edges.index(name))[1])]
-                  for name in sorted(m.edges)],
-        "rotations": rotations,
-    }
+    edges = [[str(m.edges[k]), *map(str, m.endpoints(k))]
+             for k in sorted(range(m.n_edges), key=m.edges.__getitem__)]
+    return {"order": m.order, "edges": edges, "rotations": rotations}

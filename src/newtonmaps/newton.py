@@ -2,9 +2,11 @@
 
 An order-r Newton graph has r vertices, 2r edges and r faces on the
 torus, no loops, and satisfies two conditions on its facial walks: the
-boundary condition checked here (no facial walk repeats an edge, so each
-walk is an Eulerian circuit of its own boundary subgraph and every edge
-separates two distinct faces), and an angle condition at the vertices.
+boundary condition checked here, or E-property, and an angle condition
+at the vertices.  The E-property asks that no facial walk repeat an
+edge.  A closed walk visits every vertex of the subgraph its edges form,
+so each walk is then an Eulerian circuit of its own boundary subgraph;
+and every edge separates two distinct faces, so the dual is loopless.
 The angle condition needs no separate check at small orders: it always
 holds at order 2 and follows from the boundary condition at order 3, and
 no finite criterion for it is implemented beyond that, so larger orders
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .canon import canonical_key
@@ -34,37 +37,14 @@ class EPropertyReport:
     holds: bool
     witness: Optional[EWitness] = None
 
-    def __bool__(self) -> bool:
-        return self.holds
+
+_A_PROPERTY = {2: "always-holds", 3: "implied-by-E"}
 
 
-def check_e_property(m: EmbeddedMap) -> EPropertyReport:
-    """No facial walk may traverse any edge twice.
-
-    Equivalently: every edge lies on two distinct faces, and the dual is
-    loopless.  A closed walk visits every vertex of the subgraph formed
-    by its own edges, so once no edge repeats, each walk is an Eulerian
-    circuit of its boundary.
-    """
-    found = _repeated_edge(m)
-    if found is None:
-        return EPropertyReport(True)
-    return EPropertyReport(False, EWitness(found[0], m.edge_of(found[1])))
-
-
-def check_degree_bounds(m: EmbeddedMap, order: int) -> bool:
-    """Vertex and face degrees must lie in (1, 2r]; both sums count the 4r darts."""
-    fdegs = [len(w) for w in facial_walks(m)]  # raises on an invalid map
-    degs = list(Counter(m.dart_origin).values())
-    return m.n_darts == 4 * order and all(1 < d <= 2 * order for d in degs + fdegs)
-
-
-def _a_property_status(order: int) -> str:
-    if order == 2:
-        return "always-holds"
-    if order == 3:
-        return "implied-by-E"
-    return "unavailable"
+def _accepted_verdict(order: int) -> str:
+    """The verdict of a map that passes every check at this order: "newton"
+    where the angle condition is settled, "e-only" where it is not."""
+    return "newton" if order in _A_PROPERTY else "e-only"
 
 
 @dataclass(frozen=True)
@@ -82,31 +62,33 @@ class NewtonReport:
 def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     """The Newton verdict: toroidal, loopless and E-property.
 
-    The degree bounds are reported but do not gate the verdict, since
-    the other conditions imply them at every order.  Looplessness keeps
-    every vertex degree at most 2r and rules out faces of length 1; the
-    E-property keeps every face at most 2r long and rules out a degree-1
-    vertex, whose pendant edge would run twice through one face; and both
-    degree sums count the 4r darts.
+    The E-witness is the first walk that holds both darts of an edge, with
+    the edge of its first such dart.  The degree bounds (vertex and face
+    degrees in (1, 2r], and 4r darts) are reported but do not gate the
+    verdict, since the other conditions imply them at every order.
+    Looplessness keeps every vertex degree at most 2r and rules out faces
+    of length 1; the E-property keeps every face at most 2r long and rules
+    out a degree-1 vertex, whose pendant edge would run twice through one
+    face; and both degree sums count the 4r darts.
     """
-    status = _a_property_status(order)
-    report = validate(m)
-    if not report.ok:
+    status = _A_PROPERTY.get(order, "unavailable")
+    if not validate(m).ok:
         return NewtonReport(order, False, False, False,
                             EPropertyReport(False), False, status, "not-newton")
+    walks = facial_walks(m)
     loopless = all(m.dart_origin[2 * k] != m.dart_origin[2 * k + 1]
                    for k in range(m.n_edges))
     # r vertices, 2r edges and r faces force characteristic 0
     toroidal = (m.order == order and m.n_edges == 2 * order
-                and len(facial_walks(m)) == order)
-    e_rep = check_e_property(m)
-    bounds = check_degree_bounds(m, order)
-    if toroidal and loopless and e_rep.holds:
-        verdict = "newton" if status != "unavailable" else "e-only"
-    else:
-        verdict = "not-newton"
-    return NewtonReport(order, True, toroidal, loopless, e_rep, bounds,
-                        status, verdict)
+                and len(walks) == order)
+    found = _repeated_edge(walks)
+    e_rep = (EPropertyReport(True) if found is None else
+             EPropertyReport(False, EWitness(found[0], m.edge_of(found[1]))))
+    degrees = chain(Counter(m.dart_origin).values(), map(len, walks))
+    bounds = m.n_darts == 4 * order and all(1 < d <= 2 * order for d in degrees)
+    newton = toroidal and loopless and e_rep.holds
+    return NewtonReport(order, True, toroidal, loopless, e_rep, bounds, status,
+                        _accepted_verdict(order) if newton else "not-newton")
 
 
 @dataclass(frozen=True)

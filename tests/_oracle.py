@@ -3,7 +3,8 @@
 Deliberately avoids the package's permutation machinery: facial walks
 are recomputed straight from document text via rotation lists and the
 corner rule (arrive on an edge-end, leave on its anti-clockwise
-successor), so agreement with the package is a genuine two-path check.
+successor), so agreement with the package is a genuine two-path check;
+the Newton report's fields are read from those walks and rotation lists.
 Map equivalence is decided by anchored exhaustive propagation, without
 the canonical keys, and the canonical key search is checked against the
 search it replaced, which traces every root in full.
@@ -66,6 +67,33 @@ def walk_circuits(text: str) -> list[list[str]]:
 def euler_from_doc(text: str) -> int:
     ends, rots = _doc_tables(text)
     return len(rots) - len(ends) + len(walk_circuits(text))
+
+
+def newton_reference(text: str, order: int) -> dict:
+    """The document's Newton report fields, read from its rotation lists.
+
+    Face lengths come from walk_circuits and vertex degrees from the
+    rotation lists.  The E-witness is (face index, edge) for the first
+    circuit that runs along an edge twice, at that edge's first step;
+    circuits are listed, and start, by their least edge-end.  That is the
+    package's least-dart order for a map whose edges are listed by name,
+    as every enumerated candidate's are, so the witnesses are comparable.
+    """
+    ends, rots = _doc_tables(text)
+    circuits = walk_circuits(text)
+    witness = next(((i, e) for i, c in enumerate(circuits) for e in c
+                    if c.count(e) == 2), None)
+    degrees = [len(toks) for toks in rots.values()] + [len(c) for c in circuits]
+    return {
+        "cellular_toroidal": (len(rots) - len(ends) + len(circuits) == 0
+                              and len(rots) == order and len(ends) == 2 * order
+                              and len(circuits) == order),
+        "loopless": all(u != v for u, v in ends.values()),
+        "e_property": witness is None,
+        "e_witness": witness,
+        "degree_bounds": (len(ends) == 2 * order
+                          and all(1 < d <= 2 * order for d in degrees)),
+    }
 
 
 def cyclic_normal(seq) -> tuple:

@@ -107,7 +107,7 @@ def test_brute_force_agrees(n2, case1, case3):
 
 
 def test_brute_force_size_guard(n2):
-    big = refinement(n2).map
+    big = refinement(n2)
     assert big.n_darts == 32
     with pytest.raises(SizeGuardError):
         brute_force_iso(big, big, True)

@@ -346,6 +346,15 @@ def test_atlas_audit_catches_corruption(tmp_path):
     assert run_cli("atlas", str(garbage)).returncode == 3
 
 
+def _keep(recs, keep):
+    recs[:] = [r for r in recs if keep(r)]
+
+
+def _drop_dual_pair(recs):
+    pair = next((r["key"], r["dual_key"]) for r in recs if not r["self_dual"])
+    _keep(recs, lambda r: r["key"] not in pair)
+
+
 @pytest.mark.parametrize("edit", [
     lambda recs: next(r for r in recs if r["op_forms"] == 2).update(op_forms=1),
     lambda recs: recs[0].update(delta=[x + 1 for x in recs[0]["delta"]]),
@@ -358,8 +367,16 @@ def test_atlas_audit_catches_corruption(tmp_path):
     # an isomorphic copy derives every field but is not its key's map
     lambda recs: recs[0].update(representative=serialize(relabel(
         parse(recs[0]["representative"]), rng=random.Random(1)))),
+    # the order-3 labels and the 12/9 counts are checked too
+    lambda recs: recs.remove(next(r for r in recs if r["self_dual"])),
+    _drop_dual_pair,
+    lambda recs: _keep(recs, lambda r: r["self_dual"]),
+    lambda recs: recs[0].update(paper_label=recs[0]["paper_label"] + "-x"),
+    lambda recs: recs[0].update(label_ambiguous=not recs[0]["label_ambiguous"]),
 ], ids=["chiral-op_forms", "delta", "delta_star", "max_face", "self_dual_op",
-        "verdict", "order-all", "duplicate-class", "non-canonical-representative"])
+        "verdict", "order-all", "duplicate-class", "non-canonical-representative",
+        "self-dual-class-removed", "dual-pair-removed", "only-self-dual-kept",
+        "paper_label", "label_ambiguous"])
 def test_atlas_audit_rederives_every_field(tmp_path, edit):
     records = [json.loads(line) for line in
                (FIXTURES / "atlas_order3.jsonl").read_text().splitlines()]

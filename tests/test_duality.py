@@ -51,7 +51,7 @@ def test_dual_is_exact_involution(n2, case1, case3):
     for m in (n2, case1, case3, build_efail_n2(), build_loop_map()):
         dd = dual(dual(m))
         assert dd.sigma == m.sigma
-        assert dd.alpha == m.alpha
+        assert dd.n_darts == m.n_darts  # so the pairing d ^ 1 is the same
         assert dd.edges == m.edges
         # vertex labels are regenerated, but the map is the same one
         assert are_equivalent(dd, m, False)
@@ -69,21 +69,21 @@ def test_dual_of_edge_repeating_map_has_loop():
 
 
 def _level_counts(ref):
-    counts = Counter(ref.level_of_vertex[v] for v in ref.map.vertices)
-    return (counts[1], counts[2], counts[3])
+    # a refined vertex's tag gives its level: "v" 1, "s" 2, "f" 3
+    counts = Counter(tag for tag, _ in ref.vertices)
+    return (counts["v"], counts["s"], counts["f"])
 
 
 def test_refinement_counts(n2, case1, case3):
     for m, r in ((n2, 2), (case1, 3), (case3, 3)):
         ref = refinement(m)
         assert _level_counts(ref) == (r, 2 * r, r)
-        assert ref.map.order == 4 * r
-        assert ref.map.n_edges == 8 * r
-        walks = facial_walks(ref.map)
+        assert ref.order == 4 * r
+        assert ref.n_edges == 8 * r
+        walks = facial_walks(ref)
         assert len(walks) == 4 * r
         assert all(len(w) == 4 for w in walks)
-        assert euler_characteristic(ref.map) == 0
-        assert ref.base is m
+        assert euler_characteristic(ref) == 0
 
 
 def test_refinement_faces_are_corners(case1):
@@ -96,10 +96,9 @@ def test_refinement_faces_are_corners(case1):
         for d in w:
             base_corners[(case1.dart_origin[d], i + 1)] += 1
     refined_corners = Counter()
-    for w in facial_walks(ref.map):
-        corner = [ref.map.dart_origin[d] for d in w]
-        levels = sorted(ref.level_of_vertex[v] for v in corner)
-        assert levels == [1, 2, 2, 3]
+    for w in facial_walks(ref):
+        corner = [ref.dart_origin[d] for d in w]
+        assert sorted(tag for tag, _ in corner) == ["f", "s", "s", "v"]
         vname = next(v[1] for v in corner if v[0] == "v")
         fname = next(v[1] for v in corner if v[0] == "f")
         refined_corners[(vname, fname)] += 1
@@ -109,18 +108,17 @@ def test_refinement_faces_are_corners(case1):
 def test_refinement_crossing_neighborhoods(case1):
     # a crossing joins the two distinct endpoints of its edge and the two
     # distinct faces the edge separates
-    ref = refinement(case1)
-    m = ref.map
-    for e in case1.edges:
+    m = refinement(case1)
+    for k, e in enumerate(case1.edges):
+        # ("s", e) subdivides edge e, so it neighbors e's two endpoints
         s = ("s", e)
-        assert ref.intersection_of[s] == e
-        neighbors = []
-        for d in m.darts_at(s):
-            neighbors.append(m.dart_origin[d ^ 1])
+        neighbors = [m.dart_origin[d ^ 1] for d in range(m.n_darts)
+                     if m.dart_origin[d] == s]
         assert len(neighbors) == 4
         vside = {v for v in neighbors if v[0] == "v"}
         fside = {v for v in neighbors if v[0] == "f"}
         assert len(vside) == 2
+        assert vside == {("v", x) for x in case1.endpoints(k)}
         assert len(fside) == 2
 
 
@@ -128,7 +126,7 @@ def test_refinement_handles_loops_when_walks_are_clean():
     # a loop is fine as long as no single walk repeats an edge
     ref = refinement(build_loop_map())
     assert _level_counts(ref) == (2, 3, 3)
-    assert euler_characteristic(ref.map) == 2
+    assert euler_characteristic(ref) == 2
 
 
 def test_refinement_rejects_edge_repeating_walks():
@@ -145,12 +143,13 @@ def test_pgraph_shape(n2, case1):
         assert len(pg.level2) == 2 * r
         assert len(pg.level3) == r
         assert len(pg.arcs) == 8 * r
+        out_degree = Counter(a for a, _ in pg.arcs)
         for v in pg.level1:
-            assert pg.out_degree(1, v) == m.degree(v)
+            assert out_degree[(1, v)] == m.dart_origin.count(v)
         for e in pg.level2:
-            assert pg.out_degree(2, e) == 2
+            assert out_degree[(2, e)] == 2
         for f in pg.level3:
-            assert pg.out_degree(3, f) == 0
+            assert out_degree[(3, f)] == 0
 
 
 def test_pgraph_arcs_follow_incidence(case1):

@@ -7,8 +7,7 @@ import pytest
 from conftest import (build_efail_n2, build_loop_map, build_sphere_n2,
                       fixture_text)
 from newtonmaps import (EmbeddedMap, MapStructureError, are_equivalent,
-                        canonical_key, check_degree_bounds,
-                        check_e_property, degree_sequence, dual, embedded_map,
+                        canonical_key, degree_sequence, dual, embedded_map,
                         euler_characteristic, face_degree_sequence,
                         facial_walks, genus, is_newton, make_map, mirror,
                         parse, relabel, validate)
@@ -20,16 +19,21 @@ def test_dart_layout(n2):
     assert n2.order == 2
     assert n2.n_edges == 4
     assert n2.edges == ("a", "b", "c", "d")
-    assert n2.alpha == (1, 0, 3, 2, 5, 4, 7, 6)
+    # alpha is d ^ 1: the two darts of an edge run between its ends
+    assert [d ^ 1 for d in range(n2.n_darts)] == [1, 0, 3, 2, 5, 4, 7, 6]
+    assert all(n2.edge_of(d) == n2.edge_of(d ^ 1)
+               and {n2.dart_origin[d], n2.dart_origin[d ^ 1]} == {"v1", "v2"}
+               for d in range(n2.n_darts))
     assert n2.edge_of(5) == "c"
     assert n2.endpoints(2) == ("v1", "v2")
 
 
 def test_rotation_and_degree(n2):
-    assert n2.darts_at("v1") == (0, 2, 4, 6)
+    assert tuple(d for d in range(n2.n_darts)
+                 if n2.dart_origin[d] == "v1") == (0, 2, 4, 6)
     assert n2.rotation_at("v1") == (0, 2, 4, 6)
     assert n2.rotation_at("v2") == (1, 3, 5, 7)
-    assert n2.degree("v1") == 4
+    assert n2.dart_origin.count("v1") == 4
     assert degree_sequence(n2) == (4, 4)
 
 
@@ -155,13 +159,13 @@ def test_validate_disconnected():
 def test_validate_advisories():
     report = validate(build_loop_map())
     assert report.ok
-    assert [d.code for d in report.advisories()] == ["loop-present"]
+    assert [d.code for d in report.defects if d.advisory] == ["loop-present"]
 
     path = make_map([("a", ("v1", "v2")), ("b", ("v2", "v3"))],
                     {"v1": ["a"], "v2": ["a", "b"], "v3": ["b"]})
     report = validate(path)
     assert report.ok
-    assert [d.code for d in report.advisories()] == ["degree-one-vertex"]
+    assert [d.code for d in report.defects if d.advisory] == ["degree-one-vertex"]
     assert euler_characteristic(path) == 2
 
 
@@ -215,8 +219,9 @@ def test_each_map_validates_and_traces_once(monkeypatch):
     m = parse(fixture_text("case1.map"))
     assert validate(m).ok
     assert len(facial_walks(m)) == 3
-    assert is_newton(m, 3).verdict == "newton"
-    assert check_e_property(m) and check_degree_bounds(m, 3)
+    rep = is_newton(m, 3)
+    assert rep.verdict == "newton"
+    assert rep.e_property.holds and rep.degree_bounds
     canonical_key(m)
     assert (euler_characteristic(m), genus(m)) == (0, 1)
     dual(m)

@@ -102,12 +102,13 @@ def test_vector_candidates_are_every_rotation_system_once():
         maps = list(_vector_candidates(3, mult))
         assert len({m.sigma for m in maps}) == len(maps)
         first = maps[0]
-        assert len(maps) == math.prod(math.factorial(first.degree(v) - 1)
-                                      for v in first.vertices)
+        assert len(maps) == math.prod(
+            math.factorial(first.dart_origin.count(v) - 1) for v in first.vertices)
         for m in maps:
             assert validate(m).ok
             assert (sorted(map(sorted, _cycles(m.sigma)))
-                    == sorted(list(m.darts_at(v)) for v in m.vertices))
+                    == sorted([d for d in range(m.n_darts) if m.dart_origin[d] == v]
+                              for v in m.vertices))
 
 
 def test_newton_candidate_count_order3():

@@ -42,7 +42,7 @@ def test_parse_loop_selectors():
     m = parse(LOOP_DOC)
     assert m.endpoints(0) == ("w", "w")
     assert validate(m).ok
-    assert [d.code for d in validate(m).advisories()] == ["loop-present"]
+    assert [d.code for d in validate(m).defects if d.advisory] == ["loop-present"]
 
 
 def test_orientation_marker_normalizes():
@@ -170,7 +170,7 @@ def test_serialize_orders_edge_lines():
 
 def test_serialize_requires_plain_names(n2):
     with pytest.raises(ValueError, match="not serializable"):
-        serialize(refinement(n2).map)
+        serialize(refinement(n2))
 
 
 def test_map_to_dot(n2):

@@ -6,10 +6,9 @@ import pytest
 
 from conftest import (build_chiral, build_efail_n2, build_grid4,
                       build_loop_map, build_sphere_n2, raw_candidates)
-from newtonmaps import (EWitness, UnsuitableMapError, check_degree_bounds,
-                        check_e_property, euler_characteristic, facial_walks,
-                        is_newton, self_duality)
-from test_properties import pool
+from newtonmaps import (EWitness, UnsuitableMapError, is_newton, self_duality,
+                        serialize)
+from _oracle import newton_reference
 
 
 def test_n2_is_newton(n2):
@@ -33,12 +32,8 @@ def test_case1_case3_are_newton(case1, case3):
 
 
 def test_e_property_witness():
-    m = build_efail_n2()
-    rep = check_e_property(m)
-    assert not rep.holds
-    assert not rep
-    assert rep.witness == EWitness(walk_index=0, repeated_edge="a")
-    full = is_newton(m, 2)
+    full = is_newton(build_efail_n2(), 2)
+    assert full.e_property.witness == EWitness(walk_index=0, repeated_edge="a")
     assert full.cellular_toroidal
     assert full.loopless
     assert not full.e_property.holds
@@ -48,8 +43,8 @@ def test_e_property_witness():
 
 
 def test_e_property_passes(n2, case1):
-    assert check_e_property(n2)
-    assert check_e_property(case1).witness is None
+    assert is_newton(n2, 2).e_property.holds
+    assert is_newton(case1, 3).e_property.witness is None
 
 
 def test_sphere_is_not_newton():
@@ -90,11 +85,11 @@ def test_order4_is_e_only():
 
 
 def test_degree_bounds(n2, case1):
-    assert check_degree_bounds(n2, 2)
-    assert check_degree_bounds(case1, 3)
+    assert is_newton(n2, 2).degree_bounds
+    assert is_newton(case1, 3).degree_bounds
     # against the wrong order the caps and sums cannot both work out
-    assert not check_degree_bounds(n2, 1)
-    assert not check_degree_bounds(case1, 2)
+    assert not is_newton(n2, 1).degree_bounds
+    assert not is_newton(case1, 2).degree_bounds
 
 
 def test_self_duality_senses(case1, case3):
@@ -118,24 +113,27 @@ def test_self_duality_requires_newton_verdict():
         self_duality(build_grid4())
 
 
-def test_is_newton_agrees_with_public_checks():
-    """The one-trace is_newton matches the separately validating checks."""
-    # at order 3 the connectivity filter removes nothing, so pool(3) is the
-    # raw stream too (pinned by test_candidate_counts)
-    for order, maps in ((2, raw_candidates(2)), (3, pool(3))):
+def _report_fields(rep) -> dict:
+    w = rep.e_property.witness
+    return {"cellular_toroidal": rep.cellular_toroidal, "loopless": rep.loopless,
+            "e_property": rep.e_property.holds,
+            "e_witness": None if w is None else (w.walk_index, w.repeated_edge),
+            "degree_bounds": rep.degree_bounds}
+
+
+def test_is_newton_agrees_with_reference():
+    """is_newton's fields equal those read from each candidate's document."""
+    funnels = {2: [36, 36, 30, 6, 6, 6], 3: [9432, 9432, 6076, 1372, 1372, 1372]}
+    for order, funnel in funnels.items():
         tally = Counter()
-        for m in maps:
+        for m in raw_candidates(order):
             rep = is_newton(m, order)
-            assert rep.e_property == check_e_property(m)
-            assert rep.degree_bounds == check_degree_bounds(m, order)
-            counts = (m.order == order and m.n_edges == 2 * order
-                      and len(facial_walks(m)) == order)
-            assert rep.cellular_toroidal == (euler_characteristic(m) == 0
-                                             and counts)
-            stages = (True, rep.cellular_toroidal, rep.e_property.holds,
-                      rep.degree_bounds, rep.verdict == "newton")
+            assert _report_fields(rep) == newton_reference(serialize(m), order)
+            stages = (True, rep.connected, rep.cellular_toroidal,
+                      rep.e_property.holds, rep.degree_bounds,
+                      rep.verdict == "newton")
             for i, passed in enumerate(stages):
                 if not passed:
                     break
                 tally[i] += 1
-    assert [tally[i] for i in range(5)] == [9432, 6076, 1372, 1372, 1372]
+        assert [tally[i] for i in range(6)] == funnel
