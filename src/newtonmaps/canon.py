@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .embedded_map import (EmbeddedMap, MapStructureError, UnsuitableMapError,
-                           _cycles, mirror, validate)
+                           _cycles, _root, mirror, validate)
 
 
 class WitnessError(RuntimeError):
@@ -57,26 +57,30 @@ class IsoResult:
         return self.equivalent
 
 
-def _trace_from(sigma, root: int, bound: tuple[int, ...]):
+def _trace_from(sigma, root: int, bound: tuple[int, ...], idx: list[int]):
     """Breadth-first relabeling from root: (trace, visit order), or (None,
-    None) at the first entry that makes the trace exceed bound."""
-    idx = [-1] * len(sigma)
+    None) at the first entry that makes the trace exceed bound.  idx maps
+    darts to visit positions; it is all -1 on entry and again on return."""
     idx[root] = 0
     order = [root]
     trace = []
     tied = bool(bound)  # the trace so far equals bound's prefix
-    for d in order:
-        for nxt in (sigma[d], d ^ 1):
-            i = idx[nxt]
-            if i < 0:
-                i = idx[nxt] = len(order)
-                order.append(nxt)
-            if tied and i != bound[len(trace)]:
-                if i > bound[len(trace)]:
-                    return None, None
-                tied = False
-            trace.append(i)
-    return tuple(trace), order
+    try:
+        for d in order:
+            for nxt in (sigma[d], d ^ 1):
+                i = idx[nxt]
+                if i < 0:
+                    i = idx[nxt] = len(order)
+                    order.append(nxt)
+                if tied and i != bound[len(trace)]:
+                    if i > bound[len(trace)]:
+                        return None, None
+                    tied = False
+                trace.append(i)
+        return tuple(trace), order
+    finally:
+        for d in order:
+            idx[d] = -1
 
 
 def _best_trace(sigma, bound: tuple[int, ...] = ()):
@@ -90,22 +94,17 @@ def _best_trace(sigma, bound: tuple[int, ...] = ()):
     tried dart is skipped.
     """
     orbit = list(range(len(sigma)))
-
-    def find(d: int) -> int:
-        while orbit[d] != d:
-            orbit[d] = d = orbit[orbit[d]]
-        return d
-
+    idx = [-1] * len(sigma)  # shared by every root's trace
     best, best_order = bound, None
     for root in range(len(sigma)):
-        if find(root) != root:
+        if _root(orbit, root) != root:
             continue
-        trace, order = _trace_from(sigma, root, best)
+        trace, order = _trace_from(sigma, root, best, idx)
         if trace is None:
             continue
         if best_order is not None and trace == best:
             for d, e in zip(best_order, order):
-                d, e = find(d), find(e)
+                d, e = _root(orbit, d), _root(orbit, e)
                 orbit[max(d, e)] = min(d, e)
         else:
             best, best_order = trace, order

@@ -10,6 +10,7 @@ fixed layout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -266,6 +267,14 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _command(sub, name: str, func, help: str, *positionals: str):
+    s = sub.add_parser(name, help=help)
+    for arg in positionals:
+        s.add_argument(arg)
+    s.set_defaults(func=func)
+    return s
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="newtonmaps",
@@ -274,76 +283,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("validate", help="structural validation of a map document")
-    s.add_argument("file")
-    _add_format(s)
-    s.set_defaults(func=cmd_validate)
-
-    s = sub.add_parser("faces", help="facial walks, characteristic and genus")
-    s.add_argument("file")
-    _add_format(s)
-    s.set_defaults(func=cmd_faces)
-
-    s = sub.add_parser("dual", help="write the dual map document")
-    s.add_argument("file")
+    _add_format(_command(sub, "validate", cmd_validate,
+                         "structural validation of a map document", "file"))
+    _add_format(_command(sub, "faces", cmd_faces,
+                         "facial walks, characteristic and genus", "file"))
+    s = _command(sub, "dual", cmd_dual, "write the dual map document", "file")
     s.add_argument("--out")
-    s.set_defaults(func=cmd_dual)
-
-    s = sub.add_parser("refine", help="sizes of the common refinement with the dual")
-    s.add_argument("file")
-    _add_format(s)
-    s.set_defaults(func=cmd_refine)
-
-    s = sub.add_parser("pgraph", help="abstract three-level digraph")
-    s.add_argument("file")
+    _add_format(_command(sub, "refine", cmd_refine,
+                         "sizes of the common refinement with the dual", "file"))
+    s = _command(sub, "pgraph", cmd_pgraph, "abstract three-level digraph", "file")
     s.add_argument("--dot", action="store_true", help="emit DOT")
     _add_format(s)
-    s.set_defaults(func=cmd_pgraph)
-
-    s = sub.add_parser("canon", help="canonical key (hex)")
-    s.add_argument("file")
-    _add_sense_flags(s)
-    s.set_defaults(func=cmd_canon)
-
-    s = sub.add_parser("iso", help="equivalence of two maps")
-    s.add_argument("a")
-    s.add_argument("b")
-    _add_sense_flags(s)
-    s.set_defaults(func=cmd_iso)
-
-    s = sub.add_parser("selfdual", help="self-duality, both senses")
-    s.add_argument("file")
-    _add_format(s)
-    s.set_defaults(func=cmd_selfdual)
-
-    s = sub.add_parser("newton", help="Newton-graph verdict")
-    s.add_argument("file")
+    _add_sense_flags(_command(sub, "canon", cmd_canon, "canonical key (hex)", "file"))
+    _add_sense_flags(_command(sub, "iso", cmd_iso, "equivalence of two maps",
+                              "a", "b"))
+    _add_format(_command(sub, "selfdual", cmd_selfdual,
+                         "self-duality, both senses", "file"))
+    s = _command(sub, "newton", cmd_newton, "Newton-graph verdict", "file")
     s.add_argument("--order", type=int, required=True)
     _add_format(s)
-    s.set_defaults(func=cmd_newton)
-
-    s = sub.add_parser("classify", help="enumerate and classify an order")
+    s = _command(sub, "classify", cmd_classify, "enumerate and classify an order")
     s.add_argument("--order", type=int, required=True)
     s.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most one per CPU (default: 1)")
     s.add_argument("--out", help="directory for atlas and report files")
     _add_format(s)
-    s.set_defaults(func=cmd_classify)
-
-    s = sub.add_parser("atlas", help="audit and summarize an atlas file")
-    s.add_argument("file")
-    _add_format(s)
-    s.set_defaults(func=cmd_atlas)
-
-    s = sub.add_parser("export", help="export a map as dot/json/doc")
-    s.add_argument("file")
+    _add_format(_command(sub, "atlas", cmd_atlas,
+                         "audit and summarize an atlas file", "file"))
+    s = _command(sub, "export", cmd_export, "export a map as dot/json/doc", "file")
     s.add_argument("--to", choices=("dot", "json", "doc"), default="dot")
-    s.set_defaults(func=cmd_export)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built by the first main call and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, OSError, UnicodeDecodeError, MapStructureError,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedded_map import (EmbeddedMap, MapStructureError, _repeated_edge,
-                           facial_walks, make_map)
+from .embedded_map import (EmbeddedMap, MapStructureError, _phi,
+                           _repeated_edge, facial_walks, make_map)
 
 
 def dual(m: EmbeddedMap) -> EmbeddedMap:
@@ -29,8 +29,7 @@ def dual(m: EmbeddedMap) -> EmbeddedMap:
     for lab, w in zip(labels, walks):
         for d in w:
             origin[d] = lab
-    sigma_star = tuple(m.sigma[d ^ 1] for d in range(n))  # phi
-    return EmbeddedMap(labels, m.edges, sigma_star, tuple(origin))
+    return EmbeddedMap(labels, m.edges, tuple(_phi(m.sigma)), tuple(origin))
 
 
 def _require_no_repeated_edge(m: EmbeddedMap) -> None:

@@ -19,6 +19,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import eq, ne
 from typing import Mapping, Optional, Sequence
 
 
@@ -188,62 +190,71 @@ def validate(m: EmbeddedMap) -> ValidationReport:
 
 
 def _structure_report(m: EmbeddedMap) -> ValidationReport:
-    defects: list[Defect] = []
-    n = m.n_darts
-
+    n, sigma, origin = m.n_darts, m.sigma, m.dart_origin
     if n == 0:
         return ValidationReport(False, (Defect("empty-map", "map has no darts"),))
-    if len(m.dart_origin) != n or n != 2 * len(m.edges):
-        defects.append(Defect("length-mismatch",
-                              "sigma/dart_origin/edge lengths disagree"))
-        return ValidationReport(False, tuple(defects))
+    if len(origin) != n or n != 2 * len(m.edges):
+        return ValidationReport(False, (Defect(
+            "length-mismatch", "sigma/dart_origin/edge lengths disagree"),))
 
-    if sorted(m.sigma) != list(range(n)):
-        defects.append(Defect("sigma-not-permutation", "sigma is not a permutation"))
+    defects: list[Defect] = []
+    degree = Counter(origin)
     vset = set(m.vertices)
+    if sorted(sigma) != list(range(n)):
+        defects.append(Defect("sigma-not-permutation", "sigma is not a permutation"))
     if len(vset) != len(m.vertices):
         defects.append(Defect("duplicate-vertex", "vertex listed twice"))
-    if any(v not in vset for v in m.dart_origin):
+    if not degree.keys() <= vset:
         defects.append(Defect("origin-out-of-range",
                               "dart origin is not a listed vertex"))
     if defects:
         return ValidationReport(False, tuple(defects))
 
-    mixes = any(m.dart_origin[m.sigma[d]] != m.dart_origin[d] for d in range(n))
+    mixes = any(map(ne, map(origin.__getitem__, sigma), origin))
     if mixes:
         defects.append(Defect("sigma-mixes-vertices",
                               "a sigma cycle crosses between vertices"))
-    present = set(m.dart_origin)
     for v in m.vertices:
-        if v not in present:
+        if v not in degree:
             defects.append(Defect("isolated-vertex", f"vertex {v!r} has no darts"))
-    if not mixes and len(_cycles(m.sigma)) != len(present):
+    cycle = [-1] * n  # dart -> index of its sigma-cycle
+    count = 0
+    for start in range(n):
+        if cycle[start] < 0:
+            d = start
+            while cycle[d] < 0:
+                cycle[d] = count
+                d = sigma[d]
+            count += 1
+    if not mixes and count != len(degree):
         defects.append(Defect("split-vertex",
                               "a vertex's darts form more than one sigma cycle"))
-
-    # transitivity of <sigma, alpha> on darts
-    seen = {0}
-    stack = [0]
-    while stack:
-        d = stack.pop()
-        for e in (m.sigma[d], d ^ 1):
-            if e not in seen:
-                seen.add(e)
-                stack.append(e)
-    if len(seen) != n:
+    # <sigma, alpha> is transitive iff the edges join the sigma-cycles into one
+    parent = list(range(count))
+    for a, b in zip(cycle[0::2], cycle[1::2]):
+        a, b = _root(parent, a), _root(parent, b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            count -= 1
+    if count != 1:
         defects.append(Defect("disconnected", "underlying surface is disconnected"))
 
     ok = not defects
 
-    for k in range(len(m.edges)):
-        if m.dart_origin[2 * k] == m.dart_origin[2 * k + 1]:
-            defects.append(Defect("loop-present",
-                                  f"edge {m.edges[k]!r} is a loop", advisory=True))
-            break
-    if 1 in Counter(m.dart_origin).values():
+    for e in compress(m.edges, map(eq, origin[0::2], origin[1::2])):
+        defects.append(Defect("loop-present", f"edge {e!r} is a loop", advisory=True))
+        break
+    if 1 in degree.values():
         defects.append(Defect("degree-one-vertex",
                               "a vertex has degree 1", advisory=True))
     return ValidationReport(ok, tuple(defects))
+
+
+def _root(parent: list[int], i: int) -> int:
+    """i's root in the union-find forest parent, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
 
 
 def _checked(m: EmbeddedMap) -> EmbeddedMap:
@@ -265,7 +276,15 @@ def facial_walks(m: EmbeddedMap) -> tuple[tuple[int, ...], ...]:
 
 
 def _trace_faces(m: EmbeddedMap) -> tuple[tuple[int, ...], ...]:
-    return _cycles([m.sigma[d ^ 1] for d in range(m.n_darts)])
+    return _cycles(_phi(m.sigma))
+
+
+def _phi(sigma) -> list[int]:
+    """The face permutation phi = sigma o alpha: phi(d) = sigma(d ^ 1)."""
+    phi = [0] * len(sigma)
+    phi[0::2] = sigma[1::2]
+    phi[1::2] = sigma[0::2]
+    return phi
 
 
 def _repeated_edge(walks) -> Optional[tuple[int, int]]:

@@ -7,10 +7,16 @@ successor), so agreement with the package is a genuine two-path check;
 the Newton report's fields are read from those walks and rotation lists.
 Map equivalence is decided by anchored exhaustive propagation, without
 the canonical keys, and the canonical key search is checked against the
-search it replaced, which traces every root in full.
+search it replaced, which traces every root in full.  Structural
+validation is checked against the per-dart checks and dart search it
+replaced.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+
+from newtonmaps.embedded_map import Defect, ValidationReport
 
 
 def _doc_tables(text: str):
@@ -205,3 +211,77 @@ def full_search_sided(sigma, allow_reflection: bool):
         if trace2 < trace:
             trace, order, mirrored = trace2, order2, True
     return trace, order, mirrored
+
+
+def _cycle_count(perm) -> int:
+    seen = set()
+    count = 0
+    for start in range(len(perm)):
+        if start not in seen:
+            count += 1
+            d = start
+            while d not in seen:
+                seen.add(d)
+                d = perm[d]
+    return count
+
+
+def structure_report(m) -> ValidationReport:
+    """The validation report by per-dart checks and a depth-first search
+    over darts for connectivity."""
+    defects: list[Defect] = []
+    n = m.n_darts
+
+    if n == 0:
+        return ValidationReport(False, (Defect("empty-map", "map has no darts"),))
+    if len(m.dart_origin) != n or n != 2 * len(m.edges):
+        defects.append(Defect("length-mismatch",
+                              "sigma/dart_origin/edge lengths disagree"))
+        return ValidationReport(False, tuple(defects))
+
+    if sorted(m.sigma) != list(range(n)):
+        defects.append(Defect("sigma-not-permutation", "sigma is not a permutation"))
+    vset = set(m.vertices)
+    if len(vset) != len(m.vertices):
+        defects.append(Defect("duplicate-vertex", "vertex listed twice"))
+    if any(v not in vset for v in m.dart_origin):
+        defects.append(Defect("origin-out-of-range",
+                              "dart origin is not a listed vertex"))
+    if defects:
+        return ValidationReport(False, tuple(defects))
+
+    mixes = any(m.dart_origin[m.sigma[d]] != m.dart_origin[d] for d in range(n))
+    if mixes:
+        defects.append(Defect("sigma-mixes-vertices",
+                              "a sigma cycle crosses between vertices"))
+    present = set(m.dart_origin)
+    for v in m.vertices:
+        if v not in present:
+            defects.append(Defect("isolated-vertex", f"vertex {v!r} has no darts"))
+    if not mixes and _cycle_count(m.sigma) != len(present):
+        defects.append(Defect("split-vertex",
+                              "a vertex's darts form more than one sigma cycle"))
+
+    # transitivity of <sigma, alpha> on darts
+    seen = {0}
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        for e in (m.sigma[d], d ^ 1):
+            if e not in seen:
+                seen.add(e)
+                stack.append(e)
+    if len(seen) != n:
+        defects.append(Defect("disconnected", "underlying surface is disconnected"))
+
+    ok = not defects
+
+    for k in range(len(m.edges)):
+        if m.dart_origin[2 * k] == m.dart_origin[2 * k + 1]:
+            defects.append(Defect("loop-present",
+                                  f"edge {m.edges[k]!r} is a loop", advisory=True))
+            break
+    if 1 in Counter(m.dart_origin).values():
+        defects.append(Defect("degree-one-vertex",
+                              "a vertex has degree 1", advisory=True))
+    return ValidationReport(ok, tuple(defects))

@@ -245,8 +245,8 @@ def test_key_search_prunes_ties_on_symmetric_grid(monkeypatch):
     finished = []
     real = canon._trace_from
 
-    def counting(sigma, root, bound):
-        trace, order = real(sigma, root, bound)
+    def counting(*args):
+        trace, order = real(*args)
         finished.append(trace is not None)
         return trace, order
 
@@ -256,3 +256,34 @@ def test_key_search_prunes_ties_on_symmetric_grid(monkeypatch):
     assert grid.n_darts == 324
     assert sum(finished) <= 10
     assert key.trace == full_search_sided(grid.sigma, True)[0]
+
+
+
+def test_key_search_leaves_shared_array_unset(monkeypatch):
+    # the index array of a chirality is all -1 between roots: after one
+    # traced to the end, one aborted above the bound, and one skipped as a
+    # member of a known orbit (checked on entry to the next root's trace)
+    calls = {}
+    real = canon._trace_from
+
+    def checked(sigma, root, bound, idx):
+        assert idx == [-1] * len(sigma)
+        trace, order = real(sigma, root, bound, idx)
+        assert idx == [-1] * len(sigma)
+        calls.setdefault(tuple(sigma), []).append(trace is not None)
+        return trace, order
+
+    monkeypatch.setattr(canon, "_trace_from", checked)
+    kinds = set()
+    for m in (_torus_grid(9, 9), _random_multigraph(random.Random(31), 160)):
+        calls.clear()
+        canonical_key(m, True)
+        assert len(calls) == 2  # both chiralities
+        for finished in calls.values():
+            if any(finished):
+                kinds.add("traced")
+            if not all(finished):
+                kinds.add("aborted")
+            if len(finished) < m.n_darts:
+                kinds.add("skipped")
+    assert kinds == {"traced", "aborted", "skipped"}

@@ -1,5 +1,7 @@
 """Command-line behavior, exit codes, and golden output files."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -10,8 +12,8 @@ import pytest
 
 from conftest import (FIXTURES, ROOT, build_chiral, build_efail_n2,
                       build_sphere_n2, canonical_form)
-from newtonmaps import (atlas_to_jsonl, cli, dual, embedded_map, make_map,
-                        mirror, parse, relabel, serialize)
+from newtonmaps import (atlas_to_jsonl, canonical_key, cli, dual, embedded_map,
+                        make_map, mirror, parse, relabel, serialize)
 from newtonmaps.enumeration import _atlas_entry
 from test_canon import N2_KEY_HEX
 from test_duality import CASE1_DUAL_DOC
@@ -212,6 +214,42 @@ def test_canon_hex(docs):
     refl_a = run_cli("canon", str(docs / "chiral.map")).stdout
     refl_b = run_cli("canon", str(docs / "chiral_mirror.map")).stdout
     assert refl_a == refl_b
+
+
+def _in_process(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_reuses_one_parser(monkeypatch, docs):
+    # one parser serves every call in a process, and no call leaves state
+    # behind for the next: senses, usage errors and --version
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    chiral = str(docs / "chiral_mirror.map")
+    keys = [canonical_key(mirror(build_chiral()), sense).hex()
+            for sense in (False, True)]
+    assert keys[0] != keys[1]
+    assert _in_process("canon", chiral, "--op") == (0, keys[0] + "\n", "")
+    assert _in_process("canon", chiral) == (0, keys[1] + "\n", "")
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main(["newton", N2])
+    assert exc.value.code == 2
+    assert err.getvalue().startswith("usage: newtonmaps newton [-h]")
+    assert "the following arguments are required: --order" in err.getvalue()
+    assert _in_process("validate", N2) == (0, "ok\n", "")
+    for _ in range(2):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out):
+            cli.main(["--version"])
+        assert (exc.value.code, out.getvalue()) == (0, "0.1.0\n")
+    assert _in_process("iso", N2, N2, "--op") == (0, "equivalent\n", "")
+    assert len(built) == 1
 
 
 def test_iso(docs):

@@ -11,7 +11,9 @@ from newtonmaps import (EmbeddedMap, MapStructureError, are_equivalent,
                         euler_characteristic, face_degree_sequence,
                         facial_walks, genus, is_newton, make_map, mirror,
                         parse, relabel, validate)
-from _oracle import circuit_multiset, euler_from_doc, walk_circuits
+from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
+from _oracle import (circuit_multiset, euler_from_doc, structure_report,
+                     walk_circuits)
 
 
 def test_dart_layout(n2):
@@ -196,6 +198,65 @@ def test_validate_empty():
     report = validate(empty)
     assert not report.ok
     assert report.defects[0].code == "empty-map"
+
+
+def _defective_copies(m, rng, every_fault: bool):
+    """Copies of m with two sigma entries swapped and, with every_fault,
+    with one more hand-made fault each: a sigma entry repeated, a dart
+    moved to another vertex or to an unlisted one, an extra vertex and a
+    vertex listed twice."""
+    i, j = rng.sample(range(m.n_darts), 2)
+    swapped = list(m.sigma)
+    swapped[i], swapped[j] = m.sigma[j], m.sigma[i]
+    yield EmbeddedMap(m.vertices, m.edges, tuple(swapped), m.dart_origin)
+    if not every_fault:
+        return
+    repeated = list(m.sigma)
+    repeated[i] = m.sigma[j]
+    yield EmbeddedMap(m.vertices, m.edges, tuple(repeated), m.dart_origin)
+    for v in (rng.choice([v for v in m.vertices if v != m.dart_origin[i]]), "w"):
+        moved = m.dart_origin[:i] + (v,) + m.dart_origin[i + 1:]
+        yield EmbeddedMap(m.vertices, m.edges, m.sigma, moved)
+    yield EmbeddedMap(m.vertices + ("extra",), m.edges, m.sigma, m.dart_origin)
+    yield EmbeddedMap(m.vertices + m.vertices[:1], m.edges, m.sigma, m.dart_origin)
+
+
+def test_validate_matches_reference(n2):
+    # the one-pass report against the set-based dart search it replaced:
+    # ok, defect codes, messages and their order
+    rng = random.Random(17)
+    sigma = list(n2.sigma)
+    sigma[2], sigma[6] = 0, 4
+    maps = [
+        EmbeddedMap(n2.vertices, n2.edges, tuple(sigma), n2.dart_origin),  # split
+        make_map([(e, ("v1", "v2")) for e in "abcd"]
+                 + [(e, ("v3", "v4")) for e in "efgh"],
+                 {"v1": list("abcd"), "v2": list("abcd"),
+                  "v3": list("efgh"), "v4": list("efgh")}),  # two tori
+        build_loop_map(),
+        make_map([("a", ("w", "w")), ("b", ("w", "w"))],
+                 {"w": [("a", 0), ("b", 0), ("a", 1), ("b", 1)]}),  # two loops
+        make_map([("a", ("v1", "v2")), ("b", ("v2", "v3"))],
+                 {"v1": ["a"], "v2": ["a", "b"], "v3": ["b"]}),  # pendant
+        EmbeddedMap(("u",), ("a",), (0, 1), ("u", "u")),
+        EmbeddedMap(n2.vertices, n2.edges, n2.sigma, n2.dart_origin[:-1]),
+        EmbeddedMap((), (), (), ()),
+    ]
+    candidates = [m for order in (2, 3) for mult in _multiplicity_vectors(order, 1)
+                  for m in _vector_candidates(order, mult)]
+    assert len(candidates) == 36 + 26712
+    for k, m in enumerate(candidates):
+        maps.append(m)
+        maps += _defective_copies(m, rng, k % 10 == 0)
+    codes = set()
+    for m in maps:
+        want = structure_report(m)
+        assert validate(m) == want
+        codes.update(d.code for d in want.defects)
+    assert codes == {"empty-map", "length-mismatch", "sigma-not-permutation",
+                     "duplicate-vertex", "origin-out-of-range",
+                     "sigma-mixes-vertices", "isolated-vertex", "split-vertex",
+                     "disconnected", "loop-present", "degree-one-vertex"}
 
 
 def test_facial_walks_require_valid_map():
