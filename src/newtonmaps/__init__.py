@@ -17,13 +17,13 @@ from .embedded_map import (Defect, EmbeddedMap, MapStructureError,
                            face_degree_sequence, facial_walks, genus, make_map,
                            mirror, relabel, validate)
 from .enumeration import (AtlasEntry, ClassificationMismatchError,
-                          ClassificationReport, Stratum, UnsupportedOrderError,
-                          atlas_from_jsonl, atlas_to_jsonl, classify,
-                          enumerate_newton, label_atlas, report_to_json,
+                          ClassificationReport, SelfDuality, Stratum,
+                          UnsupportedOrderError, atlas_from_jsonl,
+                          atlas_to_jsonl, classify, enumerate_newton,
+                          label_atlas, report_to_json, self_duality,
                           strata_check, verify_atlas)
 from .mapdoc import ParseError, map_to_dot, map_to_json_dict, parse, serialize
-from .newton import (EPropertyReport, EWitness, NewtonReport, SelfDuality,
-                     is_newton, self_duality)
+from .newton import EPropertyReport, EWitness, NewtonReport, is_newton
 
 __all__ = [
     "AtlasEntry", "CanonicalKey", "ClassificationMismatchError",

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .embedded_map import (EmbeddedMap, MapStructureError, UnsuitableMapError,
-                           _cycles, _root, mirror, validate)
+from .embedded_map import (EmbeddedMap, UnsuitableMapError, _checked, _cycles,
+                           _root, mirror)
 
 
 class WitnessError(RuntimeError):
@@ -32,11 +32,17 @@ class CanonicalKey:
     trace: tuple[int, ...]
     allow_reflection: bool
 
+    # the text form spends one byte per trace entry, and the entries are
+    # visit positions, so it holds the keys of maps of at most 256 darts
+    MAX_DARTS = 256
+
     def hex(self) -> str:
-        # one byte per entry; dart counts beyond 255 are out of scope here
-        if any(x > 0xFF for x in self.trace):
-            raise UnsuitableMapError("trace entries exceed one byte")
+        _require_text_width(max(self.trace, default=-1) + 1)
         return bytes(self.trace).hex()
+
+    @classmethod
+    def from_hex(cls, text: str, allow_reflection: bool) -> "CanonicalKey":
+        return cls(tuple(bytes.fromhex(text)), allow_reflection)
 
     def __lt__(self, other: "CanonicalKey") -> bool:
         if self.allow_reflection != other.allow_reflection:
@@ -45,6 +51,12 @@ class CanonicalKey:
 
     def __str__(self) -> str:
         return self.hex()
+
+
+def _require_text_width(n_darts: int) -> None:
+    """Refuses a key of more darts than its text form can hold."""
+    if n_darts > CanonicalKey.MAX_DARTS:
+        raise UnsuitableMapError("trace entries exceed one byte")
 
 
 @dataclass(frozen=True)
@@ -125,9 +137,7 @@ def _best_trace_sided(m: EmbeddedMap, allow_reflection: bool):
 
 
 def canonical_key(m: EmbeddedMap, allow_reflection: bool = True) -> CanonicalKey:
-    if not validate(m).ok:
-        raise MapStructureError("cannot key an invalid map")
-    trace, _, _ = _best_trace_sided(m, allow_reflection)
+    trace, _, _ = _best_trace_sided(_checked(m), allow_reflection)
     return CanonicalKey(trace, allow_reflection)
 
 
@@ -173,9 +183,7 @@ def are_equivalent(a: EmbeddedMap, b: EmbeddedMap,
     f(sigma(d)) = sigma_b(f(d)) or, when reflected, f(sigma(d)) =
     sigma_b^{-1}(f(d)).
     """
-    if not (validate(a).ok and validate(b).ok):
-        raise MapStructureError("cannot compare an invalid map")
-    if a.n_darts != b.n_darts:
+    if _checked(a).n_darts != _checked(b).n_darts:
         return IsoResult(False)
     ta, order_a, mir_a = _best_trace_sided(a, allow_reflection)
     tb, order_b, mir_b = _best_trace_sided(b, allow_reflection)

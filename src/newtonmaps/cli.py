@@ -19,16 +19,18 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .canon import WitnessError, are_equivalent, canonical_key
+from .canon import (WitnessError, _require_text_width, are_equivalent,
+                    canonical_key)
 from .duality import abstract_p_graph, dual, refinement
 from .embedded_map import (EmbeddedMap, MapStructureError, UnsuitableMapError,
-                           euler_characteristic, facial_walks, genus, validate)
+                           _checked, euler_characteristic, facial_walks, genus,
+                           validate)
 from .enumeration import (ClassificationMismatchError, UnsupportedOrderError,
                           atlas_from_jsonl, atlas_to_jsonl, classify,
                           enumerate_newton, label_atlas, report_to_json,
-                          verify_atlas)
+                          self_duality, verify_atlas)
 from .mapdoc import ParseError, map_to_dot, map_to_json_dict, parse, serialize
-from .newton import is_newton, self_duality
+from .newton import is_newton
 
 
 def _load(path: str) -> EmbeddedMap:
@@ -71,10 +73,7 @@ def cmd_validate(args) -> int:
     m = _load(args.file)
     report = validate(m)
     if args.format == "json":
-        _emit_json({"ok": report.ok,
-                    "defects": [{"code": d.code, "message": d.message,
-                                 "advisory": d.advisory}
-                                for d in report.defects]})
+        _emit_json(asdict(report))
     else:
         print("ok" if report.ok else "invalid")
         for d in report.defects:
@@ -149,7 +148,10 @@ def cmd_pgraph(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    print(canonical_key(_load(args.file), _sense(args)).hex())
+    # defects first, then the key's width, before any search
+    m = _checked(_load(args.file))
+    _require_text_width(m.n_darts)
+    print(canonical_key(m, _sense(args)).hex())
     return 0
 
 
@@ -166,8 +168,7 @@ def cmd_iso(args) -> int:
 def cmd_selfdual(args) -> int:
     sd = self_duality(_load(args.file))
     if args.format == "json":
-        _emit_json({"reflective": sd.reflective,
-                    "orientation_preserving": sd.orientation_preserving})
+        _emit_json(asdict(sd))
     else:
         print(f"reflective: {'true' if sd.reflective else 'false'}")
         print(f"orientation-preserving: "
@@ -220,7 +221,7 @@ def cmd_classify(args) -> int:
         _write_atomic(outdir / f"classification_order{args.order}.json",
                       report_to_json(report))
     if args.format == "json":
-        _emit_json(asdict(report))
+        print(report_to_json(report), end="")
     else:
         print(f"order {report.order}")
         print(f"classes (reflection-allowed): {report.count_refl}")

@@ -29,8 +29,8 @@ from typing import Iterator, Optional, Sequence
 
 from .canon import CanonicalKey, canonical_key, _edge_label, _map_from_trace
 from .duality import dual
-from .embedded_map import (EmbeddedMap, degree_sequence, face_degree_sequence,
-                           facial_walks, mirror, validate)
+from .embedded_map import (EmbeddedMap, UnsuitableMapError, degree_sequence,
+                           face_degree_sequence, facial_walks, mirror, validate)
 from .mapdoc import ParseError, parse, serialize
 from .newton import _accepted_verdict, is_newton
 
@@ -61,6 +61,12 @@ class AtlasEntry:
     verdict: str                 # newton | e-only
     paper_label: Optional[str] = None
     label_ambiguous: bool = False
+
+
+@dataclass(frozen=True)
+class SelfDuality:
+    reflective: bool
+    orientation_preserving: bool
 
 
 @dataclass(frozen=True)
@@ -177,61 +183,67 @@ def _atlas_entry(rep: EmbeddedMap) -> AtlasEntry:
     if rep.order == 3 and max_face not in (4, 5, 6):
         raise ClassificationMismatchError(
             f"order-3 maximum face {max_face} outside 4..6")
-    key = canonical_key(rep, True)
-    d = dual(rep)
-    dual_key = canonical_key(d, True)
-    key_op = canonical_key(rep, False)
-    # every rotation system is a candidate and mirroring keeps the Newton
-    # conditions, so the class's OP classes are those of rep and its mirror
-    op_forms = 1 if canonical_key(mirror(rep), False) == key_op else 2
     return AtlasEntry(
         order=rep.order,
-        key=key,
-        key_op=key_op,
         representative=rep,
         representative_doc=serialize(rep),
         delta=degree_sequence(rep),
         delta_star=delta_star,
         max_face=max_face,
         vertex_pattern_on_max_face=pattern,
-        self_dual=(dual_key == key),
-        self_dual_op=(canonical_key(d, False) == key_op),
-        dual_key=dual_key,
-        op_forms=op_forms,
         verdict=_accepted_verdict(rep.order),
+        **_duality_fields(rep),
     )
 
 
-def _pairing(entries: Sequence[AtlasEntry]):
-    by_key = {e.key.hex(): e for e in entries}
+def _duality_fields(m: EmbeddedMap) -> dict:
+    """The key and duality fields of m's atlas entry, by AtlasEntry name."""
+    key, key_op = canonical_key(m, True), canonical_key(m, False)
+    d = dual(m)
+    dual_key = canonical_key(d, True)
+    # every rotation system is a candidate and mirroring keeps the Newton
+    # conditions, so the class's OP classes are those of m and its mirror
+    return dict(key=key, key_op=key_op, dual_key=dual_key,
+                self_dual=dual_key == key,
+                self_dual_op=canonical_key(d, False) == key_op,
+                op_forms=1 if canonical_key(mirror(m), False) == key_op else 2)
+
+
+def self_duality(m: EmbeddedMap) -> SelfDuality:
+    """Whether a Newton map is equivalent to its dual, in both senses."""
+    verdict = is_newton(m, m.order).verdict
+    if verdict != "newton":
+        raise UnsuitableMapError(f"self-duality is defined for Newton graphs; "
+                                 f"verdict here is {verdict!r}")
+    f = _duality_fields(m)
+    return SelfDuality(f["self_dual"], f["self_dual_op"])
+
+
+def _dual_partners(entries: Sequence[AtlasEntry]) -> list[AtlasEntry]:
+    """Each entry's dual entry, in entry order (a self-dual entry's is itself)."""
+    by_key = {e.key: e for e in entries}
     if len(by_key) != len(entries):
         raise ClassificationMismatchError("atlas lists a class more than once")
-    self_dual = []
-    pairs = []
     for e in entries:
-        dk = e.dual_key.hex()
-        if dk not in by_key:
+        if e.dual_key not in by_key:
             raise ClassificationMismatchError(
                 f"dual of class {e.key.hex()[:12]} missing from atlas")
-        if dk == e.key.hex():
-            self_dual.append(e)
-        elif e.key.hex() < dk:
-            pairs.append((e.key.hex(), dk))
-    return by_key, self_dual, sorted(pairs)
+    return [by_key[e.dual_key] for e in entries]
+
+
+def _stands_for_itself(e: AtlasEntry, partner: AtlasEntry) -> bool:
+    """A class is counted in its own stratum, and labeled as itself rather
+    than as its dual partner's dual, iff its maximum face is at least its
+    partner's; so self-dual classes always are, and both of a tied pair."""
+    return e.max_face >= partner.max_face
 
 
 def strata_check(entries: Sequence[AtlasEntry]) -> dict:
-    """Per-(max_face, vertex_pattern) class counts, not counting duals-of.
-
-    A class is counted in its own stratum iff its maximum face is at
-    least its dual partner's, so each dual pair contributes one class
-    (or both, when tied) and self-dual classes always count.
-    """
-    by_key, _, _ = _pairing(entries)
+    """Per-(max_face, vertex_pattern) class counts, not counting duals-of:
+    each dual pair contributes one class, or both when tied."""
     tally: dict = {}
-    for e in entries:
-        partner = by_key[e.dual_key.hex()]
-        if e.max_face >= partner.max_face:
+    for e, partner in zip(entries, _dual_partners(entries)):
+        if _stands_for_itself(e, partner):
             stratum = (e.max_face, e.vertex_pattern_on_max_face)
             tally[stratum] = tally.get(stratum, 0) + 1
     return tally
@@ -243,7 +255,10 @@ def classify(entries: Sequence[AtlasEntry]) -> ClassificationReport:
     order = entries[0].order
     if any(e.order != order for e in entries):
         raise ClassificationMismatchError("mixed orders in atlas")
-    _, self_dual, pairs = _pairing(entries)
+    partners = _dual_partners(entries)
+    pairs = sorted((e.key.hex(), p.key.hex())
+                   for e, p in zip(entries, partners) if e.key < p.key)
+    self_dual = sum(p is e for e, p in zip(entries, partners))
     strata = tuple(
         Stratum(mf, pat, count)
         for (mf, pat), count in sorted(strata_check(entries).items(), reverse=True))
@@ -251,8 +266,8 @@ def classify(entries: Sequence[AtlasEntry]) -> ClassificationReport:
         order=order,
         count_op=sum(e.op_forms for e in entries),
         count_refl=len(entries),
-        count_dual=len(self_dual) + len(pairs),
-        self_dual_count=len(self_dual),
+        count_dual=self_dual + len(pairs),
+        self_dual_count=self_dual,
         dual_pairs=tuple(pairs),
         strata=strata,
     )
@@ -283,19 +298,16 @@ def label_atlas(entries: Sequence[AtlasEntry]) -> tuple[AtlasEntry, ...]:
     """
     if any(e.order != 3 for e in entries):
         raise ClassificationMismatchError("paper matching is defined for order 3")
-    by_key, self_dual, pairs = _pairing(entries)
-    if len(entries) != 12 or len(self_dual) + len(pairs) != 9:
+    partners = _dual_partners(entries)
+    # a class up to duality is a self-dual class or the lesser of a pair
+    n_dual = sum(not p.key < e.key for e, p in zip(entries, partners))
+    if len(entries) != 12 or n_dual != 9:
         raise ClassificationMismatchError(
             f"expected 12 classes with 9 duality classes, got {len(entries)} "
-            f"with {len(self_dual) + len(pairs)}")
+            f"with {n_dual}")
 
-    labels = []
-    for e in entries:
-        partner = by_key[e.dual_key.hex()]
-        if e.max_face < partner.max_face:
-            labels.append(_base_label(partner) + "-dual")
-        else:
-            labels.append(_base_label(e))
+    labels = [_base_label(e) if _stands_for_itself(e, p) else _base_label(p) + "-dual"
+              for e, p in zip(entries, partners)]
     counts = Counter(labels)
     return tuple(replace(e, paper_label=lab, label_ambiguous=counts[lab] > 1)
                  for e, lab in zip(entries, labels))
@@ -331,10 +343,6 @@ def atlas_to_jsonl(entries: Sequence[AtlasEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _key_from_hex(hexstr: str, allow_reflection: bool) -> CanonicalKey:
-    return CanonicalKey(tuple(bytes.fromhex(hexstr)), allow_reflection)
-
-
 def _typed(name: str, value, kind: type):
     """value, if JSON decoded it as kind (for list, a list of integers)."""
     # type(), not isinstance(): a JSON true must not pass for an integer
@@ -362,8 +370,8 @@ def atlas_from_jsonl(text: str) -> tuple[AtlasEntry, ...]:
                 _typed("paper_label", label, str)
             entries.append(AtlasEntry(
                 order=field("order", int),
-                key=_key_from_hex(field("key", str), True),
-                key_op=_key_from_hex(field("key_op", str), False),
+                key=CanonicalKey.from_hex(field("key", str), True),
+                key_op=CanonicalKey.from_hex(field("key_op", str), False),
                 representative=parse(field("representative", str)),
                 representative_doc=rec["representative"],
                 delta=tuple(field("delta", list)),
@@ -373,7 +381,7 @@ def atlas_from_jsonl(text: str) -> tuple[AtlasEntry, ...]:
                     field("vertex_pattern_on_max_face", list)),
                 self_dual=field("self_dual", bool),
                 self_dual_op=field("self_dual_op", bool),
-                dual_key=_key_from_hex(field("dual_key", str), True),
+                dual_key=CanonicalKey.from_hex(field("dual_key", str), True),
                 op_forms=field("op_forms", int),
                 verdict=field("verdict", str),
                 paper_label=label,
@@ -414,7 +422,7 @@ def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
             raise ClassificationMismatchError(
                 f"entry {e.key.hex()[:12]}: representative does not have "
                 f"verdict {e.verdict!r}")
-    _pairing(entries)
+    _dual_partners(entries)
     if any(e.order == 3 for e in entries):
         for e, want in zip(entries, label_atlas(entries)):
             if e != want:  # only the labels can differ here

@@ -20,10 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .canon import canonical_key
-from .duality import dual
-from .embedded_map import (EmbeddedMap, UnsuitableMapError, _repeated_edge,
-                           facial_walks, validate)
+from .embedded_map import EmbeddedMap, _repeated_edge, facial_walks, validate
 
 
 @dataclass(frozen=True)
@@ -90,21 +87,3 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     return NewtonReport(order, True, toroidal, loopless, e_rep, bounds, status,
                         _accepted_verdict(order) if newton else "not-newton")
 
-
-@dataclass(frozen=True)
-class SelfDuality:
-    reflective: bool
-    orientation_preserving: bool
-
-
-def self_duality(m: EmbeddedMap) -> SelfDuality:
-    """Whether a Newton map is equivalent to its dual, in both senses."""
-    rep = is_newton(m, m.order)
-    if rep.verdict != "newton":
-        raise UnsuitableMapError(f"self-duality is defined for Newton graphs; "
-                                 f"verdict here is {rep.verdict!r}")
-    d = dual(m)
-    return SelfDuality(
-        reflective=canonical_key(m, True) == canonical_key(d, True),
-        orientation_preserving=canonical_key(m, False) == canonical_key(d, False),
-    )

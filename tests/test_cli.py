@@ -12,8 +12,9 @@ import pytest
 
 from conftest import (FIXTURES, ROOT, build_chiral, build_efail_n2,
                       build_sphere_n2, canonical_form)
-from newtonmaps import (atlas_to_jsonl, canonical_key, cli, dual, embedded_map,
-                        make_map, mirror, parse, relabel, serialize)
+from newtonmaps import (atlas_to_jsonl, canon, canonical_key, cli, dual,
+                        embedded_map, make_map, mirror, parse, relabel,
+                        serialize)
 from newtonmaps.enumeration import _atlas_entry
 from test_canon import N2_KEY_HEX
 from test_duality import CASE1_DUAL_DOC
@@ -266,10 +267,39 @@ def test_iso(docs):
 
 def test_iso_refuses_invalid_map(docs):
     disc = str(docs / "disc.map")
-    for a, b in ((disc, disc), (N2, disc)):
-        r = run_cli("iso", a, b)
+    for args in (("iso", disc, disc), ("iso", N2, disc), ("canon", disc)):
+        r = run_cli(*args)
         assert r.returncode == 3
         assert r.stderr.startswith("error:")
+        assert "disconnected" in r.stderr  # the message names the defect
+
+
+def _parallel_edges(n: int, u: str, v: str) -> tuple[list, dict]:
+    names = [f"{u}{v}{k}" for k in range(n)]
+    return [(e, (u, v)) for e in names], {u: names, v: names}
+
+
+def test_canon_refuses_wide_key_before_searching(monkeypatch, tmp_path):
+    # 130 parallel edges: 260 darts, more than a key's text form holds
+    edges, rot = _parallel_edges(130, "u", "v")
+    wide = tmp_path / "wide.map"
+    wide.write_text(serialize(make_map(edges, rot)))
+    # two such components: the defect is reported, not the width
+    edges2, rot2 = _parallel_edges(130, "x", "y")
+    split = tmp_path / "split.map"
+    split.write_text(serialize(make_map(edges + edges2, {**rot, **rot2})))
+
+    def no_search(*args):
+        raise AssertionError("the key search ran")
+
+    monkeypatch.setattr(canon, "_best_trace", no_search)
+    for sense in ([], ["--op"]):
+        code, out, err = _in_process("canon", str(wide), *sense)
+        assert (code, out) == (3, "")
+        assert "trace entries exceed one byte" in err
+        code, out, err = _in_process("canon", str(split), *sense)
+        assert (code, out) == (3, "")
+        assert "disconnected" in err
 
 
 def test_iso_broken_witness_exits_4_under_optimize():

@@ -10,12 +10,14 @@ from collections import Counter
 import pytest
 
 from _oracle import brute_force_iso
-from conftest import FIXTURES, build_chiral, raw_candidates
-from newtonmaps import (ClassificationMismatchError, Stratum,
-                        UnsupportedOrderError, atlas_from_jsonl,
-                        atlas_to_jsonl, canonical_key, classify,
-                        enumerate_newton, facial_walks, is_newton, label_atlas,
-                        parse, report_to_json, serialize, strata_check,
+from conftest import (FIXTURES, build_chiral, build_grid4, build_sphere_n2,
+                      raw_candidates)
+from newtonmaps import (ClassificationMismatchError, SelfDuality, Stratum,
+                        UnsuitableMapError, UnsupportedOrderError,
+                        atlas_from_jsonl, atlas_to_jsonl, canonical_key,
+                        classify, dual, enumerate_newton, facial_walks,
+                        is_newton, label_atlas, make_map, mirror, parse,
+                        report_to_json, self_duality, serialize, strata_check,
                         validate, verify_atlas)
 from newtonmaps.embedded_map import _cycles
 from newtonmaps.enumeration import (_multiplicity_vectors, _resolve_jobs,
@@ -191,6 +193,46 @@ def test_order3_dual_closure(atlas3):
         assert partner.delta_star == e.delta
 
 
+def test_self_duality_senses(case1, case3):
+    sd = self_duality(case3)
+    assert sd.reflective and sd.orientation_preserving
+    sd = self_duality(case1)
+    assert not sd.reflective and not sd.orientation_preserving
+
+
+def test_self_duality_chiral_class():
+    m = build_chiral()
+    sd = self_duality(m)
+    assert sd.reflective
+    assert not sd.orientation_preserving
+
+
+def test_self_duality_requires_newton_verdict():
+    with pytest.raises(UnsuitableMapError, match="not-newton"):
+        self_duality(build_sphere_n2())
+    with pytest.raises(UnsuitableMapError, match="e-only"):
+        self_duality(build_grid4())
+
+
+def test_self_duality_takes_any_names():
+    # the chiral class with integer names, which no map document can hold
+    m = make_map([(0, (1, 2)), (1, (1, 3)), (2, (2, 3)), (3, (2, 3)),
+                  (4, (2, 3)), (5, (2, 3))],
+                 {1: [0, 1], 2: [0, 2, 3, 4, 5], 3: [1, 2, 3, 5, 4]})
+    assert self_duality(m) == SelfDuality(True, False)
+
+
+def test_duality_fields_match_brute_force(atlas2, atlas3):
+    # decided without keys: each representative against its dual and mirror
+    for e in atlas2 + atlas3:
+        rep = e.representative
+        d = dual(rep)
+        assert e.self_dual == brute_force_iso(rep, d, True)
+        assert e.self_dual_op == brute_force_iso(rep, d, False)
+        assert e.op_forms == (1 if brute_force_iso(rep, mirror(rep), False) else 2)
+        assert self_duality(rep) == SelfDuality(e.self_dual, e.self_dual_op)
+
+
 def test_order3_representatives_are_canonical(atlas3):
     for e in atlas3:
         m = parse(e.representative_doc)
@@ -281,6 +323,8 @@ def test_verify_atlas_catches_tampering(atlas3):
     pruned = [e for e in atlas3 if e.key != non_sd.key]
     with pytest.raises(ClassificationMismatchError, match="missing"):
         verify_atlas(pruned)
+    with pytest.raises(ClassificationMismatchError, match="more than once"):
+        verify_atlas(list(atlas3) + [atlas3[0]])
 
 
 def test_enumeration_is_deterministic(atlas3):

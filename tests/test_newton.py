@@ -1,13 +1,10 @@
-"""Newton-graph predicates and self-duality."""
+"""Newton-graph predicates."""
 
 from collections import Counter
 
-import pytest
-
-from conftest import (build_chiral, build_efail_n2, build_grid4,
-                      build_loop_map, build_sphere_n2, raw_candidates)
-from newtonmaps import (EWitness, UnsuitableMapError, is_newton, self_duality,
-                        serialize)
+from conftest import (build_efail_n2, build_grid4, build_loop_map,
+                      build_sphere_n2, raw_candidates)
+from newtonmaps import EWitness, is_newton, serialize
 from _oracle import newton_reference
 
 
@@ -90,27 +87,6 @@ def test_degree_bounds(n2, case1):
     # against the wrong order the caps and sums cannot both work out
     assert not is_newton(n2, 1).degree_bounds
     assert not is_newton(case1, 2).degree_bounds
-
-
-def test_self_duality_senses(case1, case3):
-    sd = self_duality(case3)
-    assert sd.reflective and sd.orientation_preserving
-    sd = self_duality(case1)
-    assert not sd.reflective and not sd.orientation_preserving
-
-
-def test_self_duality_chiral_class():
-    m = build_chiral()
-    sd = self_duality(m)
-    assert sd.reflective
-    assert not sd.orientation_preserving
-
-
-def test_self_duality_requires_newton_verdict():
-    with pytest.raises(UnsuitableMapError, match="not-newton"):
-        self_duality(build_sphere_n2())
-    with pytest.raises(UnsuitableMapError, match="e-only"):
-        self_duality(build_grid4())
 
 
 def _report_fields(rep) -> dict:
