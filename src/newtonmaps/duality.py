@@ -10,9 +10,10 @@ dual, which is the sense in which self-duality is usually asked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 
-from .embedded_map import (EmbeddedMap, MapStructureError, _phi,
-                           _repeated_edge, facial_walks, make_map)
+from .embedded_map import (EmbeddedMap, MapStructureError, _checked, _orbits,
+                           _phi, facial_walks, make_map)
 
 
 def dual(m: EmbeddedMap) -> EmbeddedMap:
@@ -33,7 +34,8 @@ def dual(m: EmbeddedMap) -> EmbeddedMap:
 
 
 def _require_no_repeated_edge(m: EmbeddedMap) -> None:
-    if _repeated_edge(facial_walks(m)) is not None:
+    face, _ = _orbits(_phi(_checked(m).sigma))
+    if any(map(eq, face[0::2], face[1::2])):
         raise MapStructureError(
             "refinement needs every facial walk to use each edge at most once")
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from operator import eq, ne
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 
 class MapStructureError(ValueError):
@@ -185,6 +185,20 @@ def _cycles(perm) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
+def _orbits(perm) -> tuple[list[int], int]:
+    """Each element's cycle index, cycles numbered by least element, and the count."""
+    label = [-1] * len(perm)
+    count = 0
+    for start in range(len(perm)):
+        if label[start] < 0:
+            d = start
+            while label[d] < 0:
+                label[d] = count
+                d = perm[d]
+            count += 1
+    return label, count
+
+
 def validate(m: EmbeddedMap) -> ValidationReport:
     return m._report
 
@@ -197,16 +211,11 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
         return ValidationReport(False, (Defect(
             "length-mismatch", "sigma/dart_origin/edge lengths disagree"),))
 
+    frame = _frame(m.vertices, origin)
     defects: list[Defect] = []
-    degree = Counter(origin)
-    vset = set(m.vertices)
     if sorted(sigma) != list(range(n)):
         defects.append(Defect("sigma-not-permutation", "sigma is not a permutation"))
-    if len(vset) != len(m.vertices):
-        defects.append(Defect("duplicate-vertex", "vertex listed twice"))
-    if not degree.keys() <= vset:
-        defects.append(Defect("origin-out-of-range",
-                              "dart origin is not a listed vertex"))
+    defects += frame.defects
     if defects:
         return ValidationReport(False, tuple(defects))
 
@@ -214,19 +223,11 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
     if mixes:
         defects.append(Defect("sigma-mixes-vertices",
                               "a sigma cycle crosses between vertices"))
-    for v in m.vertices:
-        if v not in degree:
-            defects.append(Defect("isolated-vertex", f"vertex {v!r} has no darts"))
-    cycle = [-1] * n  # dart -> index of its sigma-cycle
-    count = 0
-    for start in range(n):
-        if cycle[start] < 0:
-            d = start
-            while cycle[d] < 0:
-                cycle[d] = count
-                d = sigma[d]
-            count += 1
-    if not mixes and count != len(degree):
+    for i in frame.isolated:
+        defects.append(Defect("isolated-vertex",
+                              f"vertex {m.vertices[i]!r} has no darts"))
+    cycle, count = _orbits(sigma)
+    if not mixes and count != frame.n_origins:
         defects.append(Defect("split-vertex",
                               "a vertex's darts form more than one sigma cycle"))
     # <sigma, alpha> is transitive iff the edges join the sigma-cycles into one
@@ -241,13 +242,44 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
 
     ok = not defects
 
-    for e in compress(m.edges, map(eq, origin[0::2], origin[1::2])):
-        defects.append(Defect("loop-present", f"edge {e!r} is a loop", advisory=True))
-        break
-    if 1 in degree.values():
+    if frame.first_loop is not None:
+        defects.append(Defect("loop-present", f"edge {m.edges[frame.first_loop]!r} "
+                              "is a loop", advisory=True))
+    if frame.min_degree == 1:
         defects.append(Defect("degree-one-vertex",
                               "a vertex has degree 1", advisory=True))
-    return ValidationReport(ok, tuple(defects))
+    return ValidationReport(ok, tuple(defects)) if defects else _VALID
+
+
+_VALID = ValidationReport(True, ())
+
+
+class _Frame(NamedTuple):
+    """What vertices and dart origins alone decide.  Vertices and edges
+    are held by index, not id: equal frames may hold 1 and True."""
+    defects: tuple[Defect, ...]  # duplicate or out-of-range vertices
+    isolated: tuple[int, ...]
+    n_origins: int
+    first_loop: Optional[int]    # index of the first loop edge
+    min_degree: int
+    max_degree: int
+
+
+@lru_cache(maxsize=1)  # the candidates of a multiplicity vector share one
+def _frame(vertices: tuple, origin: tuple) -> _Frame:
+    degree = Counter(origin)
+    vset = set(vertices)
+    defects = []
+    if len(vset) != len(vertices):
+        defects.append(Defect("duplicate-vertex", "vertex listed twice"))
+    if not degree.keys() <= vset:
+        defects.append(Defect("origin-out-of-range",
+                              "dart origin is not a listed vertex"))
+    loops = map(eq, origin[0::2], origin[1::2])
+    return _Frame(tuple(defects),
+                  tuple([i for i, v in enumerate(vertices) if v not in degree]),
+                  len(degree), next(compress(range(len(origin)), loops), None),
+                  min(degree.values(), default=0), max(degree.values(), default=0))
 
 
 def _root(parent: list[int], i: int) -> int:
@@ -285,18 +317,6 @@ def _phi(sigma) -> list[int]:
     phi[0::2] = sigma[1::2]
     phi[1::2] = sigma[0::2]
     return phi
-
-
-def _repeated_edge(walks) -> Optional[tuple[int, int]]:
-    """(walk index, dart) of the first of the facial walks holding both
-    darts of an edge, with that walk's first such dart; None when no walk
-    repeats an edge."""
-    for i, w in enumerate(walks):
-        darts = set(w)
-        for d in w:
-            if d ^ 1 in darts:
-                return i, d
-    return None
 
 
 def euler_characteristic(m: EmbeddedMap) -> int:

@@ -7,8 +7,9 @@ walk through its pendant edge twice, so the pruning loses nothing); for
 each multigraph, all rotation systems with the first dart of every
 vertex rotation fixed (global canonical deduplication absorbs the
 rotational redundancy).  Kept maps are those whose Newton verdict
-passes; classes are formed under reflection-allowed equivalence, with
-the orientation-preserving refinement recorded per class.
+passes.  Workers key each kept map in the orientation-preserving (OP)
+sense, which searches one chirality; the OP classes are then joined into
+reflection-allowed classes, each recording how many OP classes it holds.
 
 Everything downstream of the candidate stream is deterministic: class
 representatives are decoded from their canonical keys, so the atlas
@@ -118,7 +119,7 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
 
 
 def _scan_vector(args) -> set:
-    """Worker: reflection-allowed key traces of one vector's Newton maps.
+    """Worker: the OP key traces of one vector's Newton maps.
 
     Keys carry no labels, so the union of the results of any partition
     of the vectors is the same set.
@@ -130,7 +131,7 @@ def _scan_vector(args) -> set:
             continue
         if is_newton(m, order).verdict == "not-newton":
             continue
-        found.add(canonical_key(m, True).trace)
+        found.add(canonical_key(m, False).trace)
     return found
 
 
@@ -162,7 +163,8 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
             results = list(pool.map(_scan_vector, tasks))
         finally:
             pool.shutdown()
-    traces = set().union(*results)
+    op_traces = set().union(*results)
+    traces = {canonical_key(_map_from_trace(t), True).trace for t in op_traces}
 
     entries = []
     for trace in sorted(traces):
@@ -170,6 +172,9 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
         if entry.key.trace != trace:
             raise ClassificationMismatchError("canonical representative drifted")
         entries.append(entry)
+    n_op = sum(e.op_forms for e in entries)  # each from its representative
+    if len(op_traces) != n_op:
+        raise ClassificationMismatchError(f"{len(op_traces)} OP keys, {n_op} OP forms")
     return tuple(entries)
 
 

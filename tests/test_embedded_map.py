@@ -1,6 +1,7 @@
 """Core map structure: construction, validation, walks."""
 
 import random
+from operator import ne
 
 import pytest
 
@@ -257,6 +258,62 @@ def test_validate_matches_reference(n2):
                      "duplicate-vertex", "origin-out-of-range",
                      "sigma-mixes-vertices", "isolated-vertex", "split-vertex",
                      "disconnected", "loop-present", "degree-one-vertex"}
+
+
+def test_frame_facts_are_never_stale(n2):
+    """Validation keeps the facts of the last frame (vertices and dart
+    origins); maps that share sigma but not their frame, validated in
+    turn, each get their own defects and messages."""
+    loops = build_loop_map()
+    moved = n2.dart_origin[:1] + ("v2",) + n2.dart_origin[2:]
+    swapped = tuple(n2.dart_origin[d ^ 1] for d in range(n2.n_darts))
+    fields = [
+        (n2.vertices, n2.edges, n2.sigma, n2.dart_origin),
+        (n2.vertices, n2.edges, n2.sigma, moved),  # mixes vertices
+        (n2.vertices, n2.edges, n2.sigma, swapped),  # every edge reversed
+        (n2.vertices + (1,), n2.edges, n2.sigma, n2.dart_origin),
+        (n2.vertices + (True,), n2.edges, n2.sigma, n2.dart_origin),
+        (n2.vertices + (1.0,), n2.edges, n2.sigma, n2.dart_origin),
+        (n2.vertices + ("v1",), n2.edges, n2.sigma, n2.dart_origin),
+        ((1, 2), n2.edges, n2.sigma, tuple(1 if v == "v1" else 2
+                                           for v in n2.dart_origin)),
+        ((True, 2), n2.edges, n2.sigma, tuple(True if v == "v1" else 2
+                                              for v in n2.dart_origin)),
+        (loops.vertices, (1,) + loops.edges[1:], loops.sigma, loops.dart_origin),
+        (loops.vertices, (True,) + loops.edges[1:], loops.sigma, loops.dart_origin),
+        (loops.vertices + (1,), loops.edges, loops.sigma, loops.dart_origin),
+    ]
+    for _ in range(2):
+        for f in fields + fields[::-1]:
+            m = EmbeddedMap(*f)  # a fresh map, so nothing is cached on it
+            assert validate(m) == structure_report(m)
+            rep = is_newton(EmbeddedMap(*f), 2)
+            origin = f[3]
+            assert rep.connected == validate(m).ok
+            assert rep.loopless == (rep.connected
+                                    and all(map(ne, origin[0::2], origin[1::2])))
+            # the valid relabellings of n2 meet the order-2 bounds; the
+            # loop map has 6 darts, not 8
+            assert rep.degree_bounds == (rep.connected and len(f[0]) == 2
+                                         and rep.loopless)
+    messages = [[d.message for d in validate(EmbeddedMap(*f)).defects]
+                for f in fields[3:6] + fields[9:]]
+    assert messages == [
+        ["vertex 1 has no darts"], ["vertex True has no darts"],
+        ["vertex 1.0 has no darts"], ["edge 1 is a loop"],
+        ["edge True is a loop"], ["vertex 1 has no darts", "edge 'a' is a loop"]]
+
+
+def test_disjoint_tori_are_disconnected():
+    # two order-2 tori side by side: four edges v1-v2 and four edges v3-v4
+    assert (4, 0, 0, 0, 0, 4) in _multiplicity_vectors(4, 2)
+    maps = list(_vector_candidates(4, (4, 0, 0, 0, 0, 4)))
+    assert len(maps) == 6 ** 4
+    for m in maps:
+        assert validate(m) == structure_report(m)
+        assert [d.code for d in validate(m).defects] == ["disconnected"]
+        rep = is_newton(m, 4)
+        assert not rep.connected and rep.verdict == "not-newton"
 
 
 def test_facial_walks_require_valid_map():

@@ -19,9 +19,10 @@ from newtonmaps import (ClassificationMismatchError, SelfDuality, Stratum,
                         is_newton, label_atlas, make_map, mirror, parse,
                         report_to_json, self_duality, serialize, strata_check,
                         validate, verify_atlas)
+from newtonmaps.canon import _map_from_trace
 from newtonmaps.embedded_map import _cycles
 from newtonmaps.enumeration import (_multiplicity_vectors, _resolve_jobs,
-                                    _vector_candidates)
+                                    _scan_vector, _vector_candidates)
 
 # every class of the order-3 table, as
 # (delta_star, delta, self_dual, self_dual_op, op_forms) with multiplicity
@@ -117,6 +118,35 @@ def test_newton_candidate_count_order3():
     hits = sum(1 for m in raw_candidates(3)
                if is_newton(m, 3).verdict == "newton")
     assert hits == 1372
+
+
+@pytest.mark.parametrize("order, n_op", [(2, 1), (3, 14)])
+def test_op_keyed_scan_matches_reflection_keys(order, n_op, request):
+    """Keying each OP class once with reflection allowed finds the classes
+    that keying every accepted candidate with reflection allowed finds."""
+    vectors = _multiplicity_vectors(order, 2)
+    every = {canonical_key(m, True)
+             for mult in vectors for m in _vector_candidates(order, mult)
+             if validate(m).ok and is_newton(m, order).verdict != "not-newton"}
+    op = set().union(*(_scan_vector((order, mult)) for mult in vectors))
+    assert len(op) == n_op
+    assert {canonical_key(_map_from_trace(t), True) for t in op} == every
+    atlas = request.getfixturevalue(f"atlas{order}")
+    assert {e.key for e in atlas} == every
+    assert sum(e.op_forms for e in atlas) == n_op
+
+
+def test_missing_op_class_is_a_mismatch(monkeypatch):
+    # drop one mirror form of a chiral class: every reflection class is
+    # still found, but 13 OP keys no longer match the classes' 14 forms
+    import newtonmaps.enumeration as en
+    op = set().union(*(_scan_vector((3, mult)) for mult in _multiplicity_vectors(3, 2)))
+    refl = {t: canonical_key(_map_from_trace(t), True) for t in op}
+    forms = Counter(refl.values())
+    dropped = next(t for t, key in refl.items() if forms[key] == 2)
+    monkeypatch.setattr(en, "_scan_vector", lambda args: _scan_vector(args) - {dropped})
+    with pytest.raises(ClassificationMismatchError, match="13 OP keys, 14 OP forms"):
+        en.enumerate_newton(3)
 
 
 def test_order2_atlas(atlas2):

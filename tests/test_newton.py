@@ -4,7 +4,8 @@ from collections import Counter
 
 from conftest import (build_efail_n2, build_grid4, build_loop_map,
                       build_sphere_n2, raw_candidates)
-from newtonmaps import EWitness, is_newton, serialize
+from newtonmaps import EWitness, facial_walks, is_newton, serialize
+from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 from _oracle import newton_reference
 
 
@@ -113,3 +114,15 @@ def test_is_newton_agrees_with_reference():
                     break
                 tally[i] += 1
         assert [tally[i] for i in range(6)] == funnel
+
+
+def test_witness_is_the_first_face_repeating_an_edge():
+    """On the order-3 candidates with a degree-1 vertex, where several
+    faces can each repeat an edge, is_newton's fields equal the reference's."""
+    dropped = set(_multiplicity_vectors(3, 1)) - set(_multiplicity_vectors(3, 2))
+    several = 0
+    for mult in sorted(dropped):
+        for m in _vector_candidates(3, mult):
+            assert _report_fields(is_newton(m, 3)) == newton_reference(serialize(m), 3)
+            several += sum(any(d ^ 1 in w for d in w) for w in facial_walks(m)) > 1
+    assert several == 2880
