@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .embedded_map import (EmbeddedMap, UnsuitableMapError, _checked, _cycles,
-                           _root, mirror)
+from .embedded_map import EmbeddedMap, UnsuitableMapError, _checked, _orbits, mirror
 
 
 class WitnessError(RuntimeError):
@@ -48,9 +47,6 @@ class CanonicalKey:
         if self.allow_reflection != other.allow_reflection:
             raise TypeError("keys of different senses are not comparable")
         return self.trace < other.trace
-
-    def __str__(self) -> str:
-        return self.hex()
 
 
 def _require_text_width(n_darts: int) -> None:
@@ -93,6 +89,13 @@ def _trace_from(sigma, root: int, bound: tuple[int, ...], idx: list[int]):
     finally:
         for d in order:
             idx[d] = -1
+
+
+def _root(parent: list[int], i: int) -> int:
+    """i's root in the union-find forest parent, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
 
 
 def _best_trace(sigma, bound: tuple[int, ...] = ()):
@@ -156,14 +159,12 @@ def _map_from_trace(trace: tuple[int, ...]) -> EmbeddedMap:
     pairs = [d for d in range(n) if d < alpha[d]]
     for k, d in enumerate(pairs):
         dart[d], dart[alpha[d]] = 2 * k, 2 * k + 1
-    cycles = _cycles(sigma)
-    vertices = tuple(f"v{i + 1}" for i in range(len(cycles)))
+    vertex, count = _orbits(sigma)
+    vertices = tuple(f"v{i + 1}" for i in range(count))
     origin: list = [None] * n
-    for v, cyc in zip(vertices, cycles):
-        for d in cyc:
-            origin[dart[d]] = v
     new_sigma = [0] * n
     for d in range(n):
+        origin[dart[d]] = vertices[vertex[d]]
         new_sigma[dart[d]] = dart[sigma[d]]
     edges = tuple(_edge_label(k) for k in range(len(pairs)))
     return EmbeddedMap(vertices, edges, tuple(new_sigma), tuple(origin))

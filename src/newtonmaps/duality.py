@@ -23,21 +23,20 @@ def dual(m: EmbeddedMap) -> EmbeddedMap:
     order; every edge e is identified with its crossing dual edge, so the
     edge tuple is carried over unchanged.
     """
-    walks = facial_walks(m)
-    labels = tuple(f"f{i + 1}" for i in range(len(walks)))
-    n = m.n_darts
-    origin: list = [None] * n
-    for lab, w in zip(labels, walks):
-        for d in w:
-            origin[d] = lab
-    return EmbeddedMap(labels, m.edges, tuple(_phi(m.sigma)), tuple(origin))
+    phi = _phi(_checked(m).sigma)
+    face, count = _orbits(phi)
+    labels = tuple(f"f{i + 1}" for i in range(count))
+    origin = tuple(labels[f] for f in face)
+    return EmbeddedMap(labels, m.edges, tuple(phi), origin)
 
 
-def _require_no_repeated_edge(m: EmbeddedMap) -> None:
-    face, _ = _orbits(_phi(_checked(m).sigma))
+def _require_no_repeated_edge(m: EmbeddedMap) -> tuple[list[int], int]:
+    """(face index of each dart, face count); refuses a face repeating an edge."""
+    face, count = _orbits(_phi(_checked(m).sigma))
     if any(map(eq, face[0::2], face[1::2])):
         raise MapStructureError(
             "refinement needs every facial walk to use each edge at most once")
+    return face, count
 
 
 def refinement(m: EmbeddedMap) -> EmbeddedMap:
@@ -56,12 +55,8 @@ def refinement(m: EmbeddedMap) -> EmbeddedMap:
     toroidal map with r faces this yields 4r vertices, 8r edges and 4r
     quadrilateral faces, one per corner of the base map.
     """
-    _require_no_repeated_edge(m)
+    face, _ = _require_no_repeated_edge(m)
     walks = facial_walks(m)
-    face_of = {}
-    for i, w in enumerate(walks):
-        for d in w:
-            face_of[d] = i + 1
 
     edge_decls = []
     for d in range(m.n_darts):
@@ -69,7 +64,7 @@ def refinement(m: EmbeddedMap) -> EmbeddedMap:
         edge_decls.append((("h", d), (("v", m.dart_origin[d]), ("s", m.edges[k]))))
     for d in range(m.n_darts):
         k = d // 2
-        edge_decls.append((("g", d), (("s", m.edges[k]), ("f", face_of[d]))))
+        edge_decls.append((("g", d), (("s", m.edges[k]), ("f", face[d] + 1))))
 
     rotations = {}
     for v in m.vertices:
@@ -116,12 +111,12 @@ class PGraph:
 
 
 def abstract_p_graph(m: EmbeddedMap) -> PGraph:
-    _require_no_repeated_edge(m)
-    star = dual(m)
+    face, count = _require_no_repeated_edge(m)
+    labels = tuple(f"f{i + 1}" for i in range(count))
     arcs = []
     for d in range(m.n_darts):
         arcs.append(((1, m.dart_origin[d]), (2, m.edge_of(d))))
     for d in range(m.n_darts):
-        arcs.append(((2, m.edge_of(d)), (3, star.dart_origin[d])))
+        arcs.append(((2, m.edge_of(d)), (3, labels[face[d]])))
     return PGraph(level1=tuple(m.vertices), level2=tuple(m.edges),
-                  level3=star.vertices, arcs=tuple(arcs))
+                  level3=labels, arcs=tuple(arcs))

@@ -226,18 +226,20 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
     for i in frame.isolated:
         defects.append(Defect("isolated-vertex",
                               f"vertex {m.vertices[i]!r} has no darts"))
-    cycle, count = _orbits(sigma)
-    if not mixes and count != frame.n_origins:
+    if not mixes and _orbits(sigma)[1] != frame.n_origins:
         defects.append(Defect("split-vertex",
                               "a vertex's darts form more than one sigma cycle"))
-    # <sigma, alpha> is transitive iff the edges join the sigma-cycles into one
-    parent = list(range(count))
-    for a, b in zip(cycle[0::2], cycle[1::2]):
-        a, b = _root(parent, a), _root(parent, b)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-            count -= 1
-    if count != 1:
+    # the surface is connected iff <sigma, alpha> is transitive: one walk
+    # along sigma and alpha from dart 0 reaches every dart
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    for d in reached:
+        for e in (sigma[d], d ^ 1):
+            if not seen[e]:
+                seen[e] = True
+                reached.append(e)
+    if len(reached) != n:
         defects.append(Defect("disconnected", "underlying surface is disconnected"))
 
     ok = not defects
@@ -280,13 +282,6 @@ def _frame(vertices: tuple, origin: tuple) -> _Frame:
                   tuple([i for i, v in enumerate(vertices) if v not in degree]),
                   len(degree), next(compress(range(len(origin)), loops), None),
                   min(degree.values(), default=0), max(degree.values(), default=0))
-
-
-def _root(parent: list[int], i: int) -> int:
-    """i's root in the union-find forest parent, halving the path on the way."""
-    while parent[i] != i:
-        parent[i] = i = parent[parent[i]]
-    return i
 
 
 def _checked(m: EmbeddedMap) -> EmbeddedMap:

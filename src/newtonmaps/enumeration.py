@@ -158,11 +158,8 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
     if jobs == 1:
         results = map(_scan_vector, tasks)
     else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_scan_vector, tasks))
-        finally:
-            pool.shutdown()
     op_traces = set().union(*results)
     traces = {canonical_key(_map_from_trace(t), True).trace for t in op_traces}
 
@@ -303,13 +300,12 @@ def label_atlas(entries: Sequence[AtlasEntry]) -> tuple[AtlasEntry, ...]:
     """
     if any(e.order != 3 for e in entries):
         raise ClassificationMismatchError("paper matching is defined for order 3")
-    partners = _dual_partners(entries)
-    # a class up to duality is a self-dual class or the lesser of a pair
-    n_dual = sum(not p.key < e.key for e, p in zip(entries, partners))
-    if len(entries) != 12 or n_dual != 9:
+    report = classify(entries)
+    if report.count_refl != 12 or report.count_dual != 9:
         raise ClassificationMismatchError(
-            f"expected 12 classes with 9 duality classes, got {len(entries)} "
-            f"with {n_dual}")
+            f"expected 12 classes with 9 duality classes, got {report.count_refl} "
+            f"with {report.count_dual}")
+    partners = _dual_partners(entries)
 
     labels = [_base_label(e) if _stands_for_itself(e, p) else _base_label(p) + "-dual"
               for e, p in zip(entries, partners)]

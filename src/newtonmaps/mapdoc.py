@@ -42,7 +42,6 @@ def _check_name(word: str, what: str, line: int) -> str:
 def parse(text: str) -> EmbeddedMap:
     order = None
     orientation = "clockwise-faces"
-    edges: list[tuple] = []
     edge_line: dict = {}
     ends: dict = {}
     rots: list[tuple] = []
@@ -78,7 +77,6 @@ def parse(text: str) -> EmbeddedMap:
                 raise ParseError(f"duplicate edge {name!r}", lineno)
             ends[name] = (u, v)
             edge_line[name] = lineno
-            edges.append((name, (u, v)))
         elif kind == "rot":
             if len(fields) < 3:
                 raise ParseError("rot needs a vertex and at least one token", lineno)
@@ -92,7 +90,7 @@ def parse(text: str) -> EmbeddedMap:
 
     if order is None:
         raise ParseError("missing order line")
-    if not edges:
+    if not ends:
         raise ParseError("no edges declared")
     if len(rots) != order:
         raise ParseError(f"order is {order} but {len(rots)} rotation line(s) given")
@@ -119,7 +117,7 @@ def parse(text: str) -> EmbeddedMap:
             toks.reverse()
         rotations[vertex] = toks
     try:
-        return make_map(edges, rotations)
+        return make_map(list(ends.items()), rotations)
     except MapStructureError as exc:
         line = rot_seen.get(exc.vertex, edge_line.get(exc.edge))
         raise ParseError(str(exc), line) from exc

@@ -21,7 +21,6 @@ def test_key_is_deterministic(n2):
     k2 = canonical_key(parse(serialize(n2)), True)
     assert k1 == k2
     assert k1.hex() == N2_KEY_HEX
-    assert str(k1) == k1.hex()
     assert len(k1.hex()) == 4 * n2.n_darts  # two trace bytes per dart
 
 

@@ -150,6 +150,11 @@ def test_pgraph_shape(n2, case1):
             assert out_degree[(2, e)] == 2
         for f in pg.level3:
             assert out_degree[(3, f)] == 0
+        # the faces are the dual's vertices, and dart d's arc reaches d's face
+        star = dual(m)
+        assert pg.level3 == star.vertices
+        into_faces = [b for a, b in pg.arcs if a[0] == 2]
+        assert into_faces == [(3, star.dart_origin[d]) for d in range(m.n_darts)]
 
 
 def test_pgraph_arcs_follow_incidence(case1):
