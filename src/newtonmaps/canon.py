@@ -41,6 +41,8 @@ class CanonicalKey:
 
     @classmethod
     def from_hex(cls, text: str, allow_reflection: bool) -> "CanonicalKey":
+        if bytes.fromhex(text).hex() != text:  # each key has one text
+            raise ValueError(f"key text {text!r} is not as hex() writes it")
         return cls(tuple(bytes.fromhex(text)), allow_reflection)
 
     def __lt__(self, other: "CanonicalKey") -> bool:

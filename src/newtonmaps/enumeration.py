@@ -23,10 +23,11 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import (chain, combinations, combinations_with_replacement,
                        permutations, product)
-from typing import Iterator, Optional, Sequence
+from typing import (Iterator, Optional, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 from .canon import CanonicalKey, canonical_key, _edge_label, _map_from_trace
 from .duality import dual
@@ -317,24 +318,20 @@ def label_atlas(entries: Sequence[AtlasEntry]) -> tuple[AtlasEntry, ...]:
 # ---------------------------------------------------------------------------
 # atlas and report serialization
 
+# The record is AtlasEntry's fields by name, as JSON, under two rules: the
+# representative is held as its canonical document (representative_doc),
+# and each key as its hex() text, read back in the sense named here.
+_KEY_SENSES = {"key": True, "key_op": False, "dual_key": True}
+_RECORD = [f for f in fields(AtlasEntry) if f.name != "representative_doc"]
+_HINTS = get_type_hints(AtlasEntry)
+
+
 def entry_to_json_dict(e: AtlasEntry) -> dict:
-    return {
-        "order": e.order,
-        "key": e.key.hex(),
-        "key_op": e.key_op.hex(),
-        "dual_key": e.dual_key.hex(),
-        "representative": e.representative_doc,
-        "delta": list(e.delta),
-        "delta_star": list(e.delta_star),
-        "max_face": e.max_face,
-        "vertex_pattern_on_max_face": list(e.vertex_pattern_on_max_face),
-        "self_dual": e.self_dual,
-        "self_dual_op": e.self_dual_op,
-        "op_forms": e.op_forms,
-        "verdict": e.verdict,
-        "paper_label": e.paper_label,
-        "label_ambiguous": e.label_ambiguous,
-    }
+    rec = {f.name: getattr(e, f.name) for f in _RECORD}
+    rec["representative"] = e.representative_doc
+    for name in _KEY_SENSES:
+        rec[name] = rec[name].hex()
+    return {name: list(v) if type(v) is tuple else v for name, v in rec.items()}
 
 
 def atlas_to_jsonl(entries: Sequence[AtlasEntry]) -> str:
@@ -344,16 +341,26 @@ def atlas_to_jsonl(entries: Sequence[AtlasEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _typed(name: str, value, kind: type):
-    """value, if JSON decoded it as kind (for list, a list of integers)."""
+def _field(name: str, value):
+    """Record field name as AtlasEntry holds it, if JSON decoded value as
+    the field's kind (a tuple's is a list of integers)."""
+    hint = _HINTS[name]
+    if hint in (CanonicalKey, EmbeddedMap):
+        kinds = (str,)
+    elif get_origin(hint) is tuple:
+        kinds = (list,)
+    else:
+        kinds = get_args(hint) or (hint,)  # Optional[str]: (str, NoneType)
     # type(), not isinstance(): a JSON true must not pass for an integer
-    ok = type(value) is kind
-    if ok and kind is list:
-        ok = all(type(x) is int for x in value)
-    if not ok:
-        want = "list of int" if kind is list else kind.__name__
+    if type(value) not in kinds or (
+            type(value) is list and any(type(x) is not int for x in value)):
+        want = "list of int" if list in kinds else kinds[0].__name__
         raise TypeError(f"field {name!r} should be {want}, not {value!r}")
-    return value
+    if hint is CanonicalKey:
+        return CanonicalKey.from_hex(value, _KEY_SENSES[name])
+    if hint is EmbeddedMap:
+        return parse(value)
+    return tuple(value) if type(value) is list else value
 
 
 def atlas_from_jsonl(text: str) -> tuple[AtlasEntry, ...]:
@@ -365,30 +372,14 @@ def atlas_from_jsonl(text: str) -> tuple[AtlasEntry, ...]:
             rec = json.loads(line)
             if type(rec) is not dict:
                 raise TypeError("record is not a JSON object")
-            field = lambda name, kind: _typed(name, rec[name], kind)
-            label = rec.get("paper_label")
-            if label is not None:
-                _typed("paper_label", label, str)
-            entries.append(AtlasEntry(
-                order=field("order", int),
-                key=CanonicalKey.from_hex(field("key", str), True),
-                key_op=CanonicalKey.from_hex(field("key_op", str), False),
-                representative=parse(field("representative", str)),
-                representative_doc=rec["representative"],
-                delta=tuple(field("delta", list)),
-                delta_star=tuple(field("delta_star", list)),
-                max_face=field("max_face", int),
-                vertex_pattern_on_max_face=tuple(
-                    field("vertex_pattern_on_max_face", list)),
-                self_dual=field("self_dual", bool),
-                self_dual_op=field("self_dual_op", bool),
-                dual_key=CanonicalKey.from_hex(field("dual_key", str), True),
-                op_forms=field("op_forms", int),
-                verdict=field("verdict", str),
-                paper_label=label,
-                label_ambiguous=_typed("label_ambiguous",
-                                       rec.get("label_ambiguous", False), bool),
-            ))
+            unknown = sorted(rec.keys() - {f.name for f in _RECORD})
+            if unknown:
+                raise TypeError(f"unknown field {unknown[0]!r}")
+            values = {f.name: _field(f.name, rec[f.name] if f.default is MISSING
+                                     else rec.get(f.name, f.default))
+                      for f in _RECORD}
+            entries.append(AtlasEntry(representative_doc=rec["representative"],
+                                      **values))
         except KeyError as exc:
             raise ParseError(f"atlas record lacks field {exc}", lineno) from None
         except (ValueError, TypeError) as exc:
@@ -401,9 +392,10 @@ def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
 
     Each entry must equal, labels aside, the entry its representative
     derives; the representative must be the map its key decodes to and
-    carry the entry's Newton verdict; and every class must appear once,
-    together with its dual.  At order 3 the labels must be those that
-    label_atlas gives, which also requires all 12 classes.
+    carry the entry's Newton verdict; and the atlas must hold at least one
+    class, all of one order, each once and together with its dual.  At
+    order 3 the labels must be those that label_atlas gives, which also
+    requires all 12 classes.
     """
     unlabeled = [f.name for f in fields(AtlasEntry)
                  if f.name not in ("paper_label", "label_ambiguous")]
@@ -423,8 +415,7 @@ def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
             raise ClassificationMismatchError(
                 f"entry {e.key.hex()[:12]}: representative does not have "
                 f"verdict {e.verdict!r}")
-    _dual_partners(entries)
-    if any(e.order == 3 for e in entries):
+    if classify(entries).order == 3:
         for e, want in zip(entries, label_atlas(entries)):
             if e != want:  # only the labels can differ here
                 raise ClassificationMismatchError(

@@ -126,8 +126,12 @@ def test_key_ordering_across_senses_is_an_error(n2):
 
 def test_key_hex_round_trip(case1):
     k = canonical_key(case1, True)
-    rebuilt = CanonicalKey(tuple(bytes.fromhex(k.hex())), True)
-    assert rebuilt == k
+    assert CanonicalKey.from_hex(k.hex(), True) == k
+    # only the text hex() writes decodes: no upper case, spaces or newline
+    pairs = [k.hex()[i:i + 2] for i in range(0, len(k.hex()), 2)]
+    for text in (k.hex().upper(), " ".join(pairs), k.hex() + "\n"):
+        with pytest.raises(ValueError, match="not as hex"):
+            CanonicalKey.from_hex(text, True)
 
 
 def test_key_requires_valid_map():

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from conftest import (FIXTURES, ROOT, build_chiral, build_efail_n2,
-                      build_sphere_n2, canonical_form)
+                      build_grid4, build_sphere_n2, canonical_form)
 from newtonmaps import (atlas_to_jsonl, canon, canonical_key, cli, dual,
                         embedded_map, make_map, mirror, parse, relabel,
                         serialize)
@@ -490,15 +490,36 @@ def _atlas_line(edit):
     _atlas_line(lambda rec: {**rec, "delta": [4, "x"]}),
     _atlas_line(lambda rec: {**rec, "self_dual": "yes"}),
     _atlas_line(lambda rec: {**rec, "op_forms": True}),
+    _atlas_line(lambda rec: {**rec, "note": "x"}),
+    _atlas_line(lambda rec: {**rec, "representative_doc": rec["representative"]}),
+    _atlas_line(lambda rec: {**rec, "key": "0A"}),
+    _atlas_line(lambda rec: {**rec, "dual_key": " ".join(
+        rec["dual_key"][i:i + 2] for i in range(0, len(rec["dual_key"]), 2))}),
 ], ids=["missing-key_op", "json-list", "delta-int", "malformed-json",
         "bad-key-hex", "representative-int", "op_forms-str", "order-str",
-        "delta-str-item", "self_dual-str", "op_forms-bool"])
+        "delta-str-item", "self_dual-str", "op_forms-bool", "unknown-field",
+        "representative_doc-field", "key-upper-case-hex", "dual_key-spaced-hex"])
 def test_atlas_refuses_malformed_record(tmp_path, bad):
     path = tmp_path / "bad.jsonl"
     path.write_text((FIXTURES / "atlas_order2.jsonl").read_text() + bad + "\n")
     r = run_cli("atlas", str(path))
     assert r.returncode == 3
     assert r.stderr.startswith("error: line 2:")
+
+
+@pytest.mark.parametrize("extra, reason", [
+    ([], "empty atlas"),
+    # a self-dual order-4 class passes every per-record check
+    ([_atlas_entry(canonical_form(build_grid4()))], "mixed orders in atlas"),
+], ids=["empty", "order-2-and-order-4"])
+def test_atlas_refuses_empty_or_mixed_order_atlas(tmp_path, extra, reason):
+    text = "" if not extra else (
+        (FIXTURES / "atlas_order2.jsonl").read_text() + atlas_to_jsonl(extra))
+    path = tmp_path / "atlas.jsonl"
+    path.write_text(text)
+    r = run_cli("atlas", str(path))
+    assert r.returncode == 4
+    assert reason in r.stderr
 
 
 @pytest.mark.parametrize("command", ["validate", "atlas"])

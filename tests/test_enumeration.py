@@ -319,15 +319,14 @@ def test_atlas_entries_pairwise_inequivalent(atlas3):
             assert not brute_force_iso(reps[i], reps[j], True)
 
 
-def test_atlas_jsonl_round_trip(atlas3):
-    text = atlas_to_jsonl(atlas3)
-    back = atlas_from_jsonl(text)
-    assert [e.key for e in back] == [e.key for e in atlas3]
-    assert [e.representative_doc for e in back] == [
-        e.representative_doc for e in atlas3]
-    assert [e.paper_label for e in back] == [e.paper_label for e in atlas3]
-    verify_atlas(back)
-    assert atlas_to_jsonl(back) == text
+def test_atlas_jsonl_round_trip(atlas2, atlas3):
+    for atlas in (atlas2, atlas3):
+        text = atlas_to_jsonl(atlas)
+        back = atlas_from_jsonl(text)
+        # every field, representative maps and labels included
+        assert back == tuple(atlas)
+        verify_atlas(back)
+        assert atlas_to_jsonl(back) == text
 
 
 def test_atlas_matches_committed_golden(atlas2, atlas3):
