@@ -20,8 +20,7 @@ from .enumeration import (AtlasEntry, ClassificationMismatchError,
                           ClassificationReport, SelfDuality, Stratum,
                           UnsupportedOrderError, atlas_from_jsonl,
                           atlas_to_jsonl, classify, enumerate_newton,
-                          label_atlas, report_to_json, self_duality,
-                          strata_check, verify_atlas)
+                          report_to_json, self_duality, verify_atlas)
 from .mapdoc import ParseError, map_to_dot, map_to_json_dict, parse, serialize
 from .newton import EPropertyReport, EWitness, NewtonReport, is_newton
 
@@ -35,7 +34,7 @@ __all__ = [
     "atlas_to_jsonl", "canonical_key", "classify", "degree_sequence",
     "dual", "enumerate_newton", "euler_characteristic",
     "face_degree_sequence", "facial_walks", "genus", "is_newton",
-    "label_atlas", "make_map", "map_to_dot", "map_to_json_dict", "mirror",
-    "parse", "refinement", "relabel", "report_to_json", "self_duality",
-    "serialize", "strata_check", "validate", "verify_atlas",
+    "make_map", "map_to_dot", "map_to_json_dict", "mirror", "parse",
+    "refinement", "relabel", "report_to_json", "self_duality", "serialize",
+    "validate", "verify_atlas",
 ]

@@ -10,6 +10,7 @@ fixed layout.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -27,8 +28,8 @@ from .embedded_map import (EmbeddedMap, MapStructureError, UnsuitableMapError,
                            validate)
 from .enumeration import (ClassificationMismatchError, UnsupportedOrderError,
                           atlas_from_jsonl, atlas_to_jsonl, classify,
-                          enumerate_newton, label_atlas, report_to_json,
-                          self_duality, verify_atlas)
+                          enumerate_newton, report_to_json, self_duality,
+                          verify_atlas)
 from .mapdoc import ParseError, map_to_dot, map_to_json_dict, parse, serialize
 from .newton import is_newton
 
@@ -43,6 +44,8 @@ def _emit_json(payload: dict) -> None:
 
 def _write_atomic(path: Path, text: str) -> None:
     """Replace path's content with text in one step, or leave it as it was."""
+    if not path.name:  # "." or "/": a directory, with no file name to write
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
@@ -210,8 +213,6 @@ def cmd_newton(args) -> int:
 
 def cmd_classify(args) -> int:
     entries = enumerate_newton(args.order, jobs=args.jobs)
-    if args.order == 3:
-        entries = label_atlas(entries)
     report = classify(entries)
     if args.out:
         outdir = Path(args.out)

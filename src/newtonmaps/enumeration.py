@@ -147,7 +147,8 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
     Orders 2 and 3 are fully certified; for order >= 4 the angle
     condition has no implemented criterion, so enumeration proceeds in
     e-only mode behind a warning and entries carry verdict "e-only".
-    Entries are sorted by key and independent of job count.
+    Entries are sorted by key, labeled at order 3, and independent of job
+    count: the atlas as `classify --out` writes it.
     """
     if order < 2:
         raise UnsupportedOrderError(f"order {order} < 2 has no Newton graphs")
@@ -163,17 +164,26 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
             results = list(pool.map(_scan_vector, tasks))
     op_traces = set().union(*results)
     traces = {canonical_key(_map_from_trace(t), True).trace for t in op_traces}
-
-    entries = []
-    for trace in sorted(traces):
-        entry = _atlas_entry(_map_from_trace(trace))
-        if entry.key.trace != trace:
-            raise ClassificationMismatchError("canonical representative drifted")
-        entries.append(entry)
+    entries = _derive_atlas([_map_from_trace(t) for t in sorted(traces)])
     n_op = sum(e.op_forms for e in entries)  # each from its representative
     if len(op_traces) != n_op:
         raise ClassificationMismatchError(f"{len(op_traces)} OP keys, {n_op} OP forms")
-    return tuple(entries)
+    return entries
+
+
+def _derive_atlas(reps: Sequence[EmbeddedMap]) -> tuple[AtlasEntry, ...]:
+    """The atlas of the classes reps stand for, labeled at order 3: the one
+    place atlas entries are built.  Each representative must be the map its
+    own key decodes to."""
+    entries = tuple(map(_atlas_entry, reps))
+    for e in entries:
+        if e.representative != _map_from_trace(e.key.trace):
+            raise ClassificationMismatchError(
+                f"entry {e.key.hex()[:12]}: representative is not the map "
+                "its key describes")
+    if any(e.order == 3 for e in entries):
+        return label_atlas(entries)
+    return entries
 
 
 def _atlas_entry(rep: EmbeddedMap) -> AtlasEntry:
@@ -183,9 +193,6 @@ def _atlas_entry(rep: EmbeddedMap) -> AtlasEntry:
     pattern = max(
         tuple(sorted(Counter(rep.dart_origin[d] for d in w).values(), reverse=True))
         for w in facial_walks(rep) if len(w) == max_face)
-    if rep.order == 3 and max_face not in (4, 5, 6):
-        raise ClassificationMismatchError(
-            f"order-3 maximum face {max_face} outside 4..6")
     return AtlasEntry(
         order=rep.order,
         representative=rep,
@@ -241,17 +248,6 @@ def _stands_for_itself(e: AtlasEntry, partner: AtlasEntry) -> bool:
     return e.max_face >= partner.max_face
 
 
-def strata_check(entries: Sequence[AtlasEntry]) -> dict:
-    """Per-(max_face, vertex_pattern) class counts, not counting duals-of:
-    each dual pair contributes one class, or both when tied."""
-    tally: dict = {}
-    for e, partner in zip(entries, _dual_partners(entries)):
-        if _stands_for_itself(e, partner):
-            stratum = (e.max_face, e.vertex_pattern_on_max_face)
-            tally[stratum] = tally.get(stratum, 0) + 1
-    return tally
-
-
 def classify(entries: Sequence[AtlasEntry]) -> ClassificationReport:
     if not entries:
         raise ClassificationMismatchError("empty atlas")
@@ -262,9 +258,12 @@ def classify(entries: Sequence[AtlasEntry]) -> ClassificationReport:
     pairs = sorted((e.key.hex(), p.key.hex())
                    for e, p in zip(entries, partners) if e.key < p.key)
     self_dual = sum(p is e for e, p in zip(entries, partners))
-    strata = tuple(
-        Stratum(mf, pat, count)
-        for (mf, pat), count in sorted(strata_check(entries).items(), reverse=True))
+    # per (max_face, vertex_pattern), not counting duals-of: each dual pair
+    # contributes one class, or both when tied
+    tally = Counter((e.max_face, e.vertex_pattern_on_max_face)
+                    for e, p in zip(entries, partners) if _stands_for_itself(e, p))
+    strata = tuple(Stratum(mf, pat, count)
+                   for (mf, pat), count in sorted(tally.items(), reverse=True))
     return ClassificationReport(
         order=order,
         count_op=sum(e.op_forms for e in entries),
@@ -277,7 +276,10 @@ def classify(entries: Sequence[AtlasEntry]) -> ClassificationReport:
 
 
 def _base_label(e: AtlasEntry) -> str:
-    case = {6: "case1", 5: "case2", 4: "case3"}[e.max_face]
+    case = {6: "case1", 5: "case2", 4: "case3"}.get(e.max_face)
+    if case is None:
+        raise ClassificationMismatchError(
+            f"order-3 maximum face {e.max_face} outside 4..6")
     faces = "".join(str(x) for x in e.delta_star)
     degs = "".join(str(x) for x in e.delta)
     label = f"{case}-f{faces}-d{degs}"
@@ -299,9 +301,9 @@ def label_atlas(entries: Sequence[AtlasEntry]) -> tuple[AtlasEntry, ...]:
     Counts inconsistent with the established classification (12 classes,
     9 up to duality) are a hard failure.
     """
-    if any(e.order != 3 for e in entries):
-        raise ClassificationMismatchError("paper matching is defined for order 3")
     report = classify(entries)
+    if report.order != 3:
+        raise ClassificationMismatchError("paper matching is defined for order 3")
     if report.count_refl != 12 or report.count_dual != 9:
         raise ClassificationMismatchError(
             f"expected 12 classes with 9 duality classes, got {report.count_refl} "
@@ -390,37 +392,23 @@ def atlas_from_jsonl(text: str) -> tuple[AtlasEntry, ...]:
 def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
     """Audit of a (possibly re-read) atlas.
 
-    Each entry must equal, labels aside, the entry its representative
-    derives; the representative must be the map its key decodes to and
-    carry the entry's Newton verdict; and the atlas must hold at least one
-    class, all of one order, each once and together with its dual.  At
-    order 3 the labels must be those that label_atlas gives, which also
-    requires all 12 classes.
+    Each entry must equal, field by field and labels included, the entry
+    that _derive_atlas builds from the atlas's representatives, and its
+    representative must carry the entry's Newton verdict; the atlas must
+    hold at least one class, all of one order, each once and together
+    with its dual.
     """
-    unlabeled = [f.name for f in fields(AtlasEntry)
-                 if f.name not in ("paper_label", "label_ambiguous")]
-    for e in entries:
-        want = _atlas_entry(e.representative)
-        for name in unlabeled:
-            if getattr(e, name) != getattr(want, name):
+    for e, want in zip(entries, _derive_atlas([e.representative for e in entries])):
+        for f in fields(AtlasEntry):
+            if getattr(e, f.name) != getattr(want, f.name):
                 raise ClassificationMismatchError(
-                    f"entry {e.key.hex()[:12]}: field {name!r} does not match "
+                    f"entry {e.key.hex()[:12]}: field {f.name!r} does not match "
                     "its representative")
-        # the fields matched, so the key is the representative's own and decodes
-        if e.representative != _map_from_trace(e.key.trace):
-            raise ClassificationMismatchError(
-                f"entry {e.key.hex()[:12]}: representative is not the map "
-                "its key describes")
         if is_newton(e.representative, e.order).verdict != e.verdict:
             raise ClassificationMismatchError(
                 f"entry {e.key.hex()[:12]}: representative does not have "
                 f"verdict {e.verdict!r}")
-    if classify(entries).order == 3:
-        for e, want in zip(entries, label_atlas(entries)):
-            if e != want:  # only the labels can differ here
-                raise ClassificationMismatchError(
-                    f"entry {e.key.hex()[:12]}: paper label does not match "
-                    "its class")
+    classify(entries)
 
 
 def report_to_json(r: ClassificationReport) -> str:

@@ -2,8 +2,7 @@ import pathlib
 
 import pytest
 
-from newtonmaps import (canonical_key, enumerate_newton, label_atlas, make_map,
-                        parse)
+from newtonmaps import canonical_key, enumerate_newton, make_map, parse
 from newtonmaps.canon import _map_from_trace
 from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 
@@ -37,7 +36,7 @@ def atlas2():
 
 @pytest.fixture(scope="session")
 def atlas3():
-    return label_atlas(enumerate_newton(3))
+    return enumerate_newton(3)
 
 
 def raw_candidates(order: int):

@@ -22,7 +22,7 @@ from _oracle import brute_force_iso
 from conftest import FIXTURES, ROOT, fixture_text
 from newtonmaps import (are_equivalent, canonical_key, classify, dual,
                         enumerate_newton, facial_walks, is_newton, mirror,
-                        parse, refinement, relabel, strata_check)
+                        parse, refinement, relabel)
 from test_properties import pool
 
 
@@ -74,7 +74,8 @@ def test_acceptance_3_order3_duality_structure(atlas3):
 
 
 def test_acceptance_4_order3_strata(atlas3):
-    strata = strata_check(atlas3)
+    strata = {(s.max_face, s.vertex_pattern): s.classes
+              for s in classify(atlas3).strata}
     hexagon_222 = strata.get((6, (2, 2, 2)), 0)
 
     sub321 = [e for e in atlas3

@@ -12,6 +12,7 @@ from newtonmaps import (CanonicalKey, MapStructureError, are_equivalent,
                         canon, canonical_key, dual, is_newton, make_map,
                         mirror, parse, refinement, relabel, serialize,
                         validate)
+from newtonmaps.canon import _map_from_trace
 
 N2_KEY_HEX = "01020304040005060601000707030205"
 
@@ -216,6 +217,26 @@ def _random_multigraph(rng: random.Random, n_edges: int):
     for toks in rotations.values():
         rng.shuffle(toks)
     return make_map(edges, rotations)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _torus_grid(3, 5), lambda: _torus_grid(4, 7),
+    lambda: _random_multigraph(random.Random(5), 40),
+    lambda: _random_multigraph(random.Random(6), 120),
+], ids=["grid-3x5", "grid-4x7", "random-40", "random-120"])
+@pytest.mark.parametrize("sense", [True, False], ids=["refl", "op"])
+def test_key_decodes_to_its_fixpoint_past_26_edges(build, sense):
+    # the atlas takes a class's representative to be the map its key
+    # decodes to; past 26 edges the decoded names run on as e27, e28, ...
+    m = build()
+    key = canonical_key(m, sense)
+    rep = _map_from_trace(key.trace)
+    assert canonical_key(rep, sense) == key
+    assert are_equivalent(rep, m, sense)
+    assert rep.edges[24:27] == ("y", "z", "e27")
+    assert rep.edges[-1] == f"e{m.n_edges}"
+    doc = serialize(rep)
+    assert serialize(parse(doc)) == doc
 
 
 def test_key_search_matches_full_search():

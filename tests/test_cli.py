@@ -456,6 +456,21 @@ def test_atlas_audit_rederives_every_field(tmp_path, edit):
     assert "internal consistency failure" in r.stderr
 
 
+@pytest.mark.parametrize("field, value", [
+    ("paper_label", "case1-f44-d44-selfdual"),
+    ("label_ambiguous", True),
+])
+def test_atlas_audit_checks_labels_at_order2(tmp_path, field, value):
+    # order 2 has no paper labels, so any label is a forgery
+    rec = json.loads((FIXTURES / "atlas_order2.jsonl").read_text())
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({**rec, field: value}) + "\n")
+    r = run_cli("atlas", str(bad))
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert f"field {field!r} does not match" in r.stderr
+
+
 @pytest.mark.parametrize("build", [build_efail_n2, build_sphere_n2])
 @pytest.mark.parametrize("canonical", [False, True], ids=["as-built", "canonical"])
 def test_atlas_audit_refuses_non_newton_classes(tmp_path, build, canonical):
@@ -549,6 +564,14 @@ def test_dual_out_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
     assert cli.main(["dual", N2, "--out", str(target)]) == 3
     assert target.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.map"]
+
+
+@pytest.mark.parametrize("out", [".", "/"])
+def test_dual_out_refuses_a_directory(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["dual", N2, "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_formats():

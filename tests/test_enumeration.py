@@ -16,13 +16,13 @@ from newtonmaps import (ClassificationMismatchError, SelfDuality, Stratum,
                         UnsuitableMapError, UnsupportedOrderError,
                         atlas_from_jsonl, atlas_to_jsonl, canonical_key,
                         classify, dual, enumerate_newton, facial_walks,
-                        is_newton, label_atlas, make_map, mirror, parse,
-                        report_to_json, self_duality, serialize, strata_check,
-                        validate, verify_atlas)
+                        is_newton, make_map, mirror, parse, report_to_json,
+                        self_duality, serialize, validate, verify_atlas)
 from newtonmaps.canon import _map_from_trace
 from newtonmaps.embedded_map import _cycles
 from newtonmaps.enumeration import (_multiplicity_vectors, _resolve_jobs,
-                                    _scan_vector, _vector_candidates)
+                                    _scan_vector, _vector_candidates,
+                                    label_atlas)
 
 # every class of the order-3 table, as
 # (delta_star, delta, self_dual, self_dual_op, op_forms) with multiplicity
@@ -205,12 +205,12 @@ def test_order3_report(atlas3):
 
 
 def test_order3_strata(atlas3):
-    assert strata_check(atlas3) == {
-        (6, (3, 2, 1)): 2,
-        (6, (2, 2, 2)): 2,
-        (5, (2, 2, 1)): 5,
-        (4, (2, 1, 1)): 1,
-    }
+    assert classify(atlas3).strata == (
+        Stratum(max_face=6, vertex_pattern=(3, 2, 1), classes=2),
+        Stratum(max_face=6, vertex_pattern=(2, 2, 2), classes=2),
+        Stratum(max_face=5, vertex_pattern=(2, 2, 1), classes=5),
+        Stratum(max_face=4, vertex_pattern=(2, 1, 1), classes=1),
+    )
 
 
 def test_order3_dual_closure(atlas3):
@@ -357,8 +357,7 @@ def test_verify_atlas_catches_tampering(atlas3):
 
 
 def test_enumeration_is_deterministic(atlas3):
-    again = label_atlas(enumerate_newton(3))
-    assert atlas_to_jsonl(again) == atlas_to_jsonl(atlas3)
+    assert atlas_to_jsonl(enumerate_newton(3)) == atlas_to_jsonl(atlas3)
 
 
 def test_resolve_jobs_is_clamped(monkeypatch):
