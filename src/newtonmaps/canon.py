@@ -128,6 +128,35 @@ def _best_trace(sigma, bound: tuple[int, ...] = ()):
     return best, best_order
 
 
+def _count_isomorphisms(sigma, tau) -> int:
+    """The number of dart bijections f with f(d ^ 1) = f(d) ^ 1 and
+    f(sigma(d)) = tau(f(d)); with tau = sigma, |Aut+| of sigma's map.
+
+    sigma's map must be connected, so f is fixed by f(0): one propagation
+    from dart 0 per target dart, O(n^2) in all, for small maps.  It
+    shares nothing with the key search, so a pruning fault there cannot
+    make a count agree with the keys.
+    """
+    return sum(_extends(sigma, tau, target) for target in range(len(sigma)))
+
+
+def _extends(sigma, tau, target: int) -> bool:
+    """Whether f(0) = target propagates to such a bijection f."""
+    n = len(sigma)
+    f = [-1] * n
+    hit = [False] * n
+    f[0], hit[target] = target, True
+    reached = [0]
+    for d in reached:
+        for e, fe in ((sigma[d], tau[f[d]]), (d ^ 1, f[d] ^ 1)):
+            if f[e] < 0 and not hit[fe]:
+                f[e], hit[fe] = fe, True
+                reached.append(e)
+            elif f[e] != fe:
+                return False
+    return len(reached) == n
+
+
 def _best_trace_sided(m: EmbeddedMap, allow_reflection: bool):
     """Returns (trace, order, mirrored) minimizing over permitted chiralities;
     the mirror, searched with the first chirality's trace as its bound,

@@ -7,9 +7,12 @@ walk through its pendant edge twice, so the pruning loses nothing); for
 each multigraph, all rotation systems with the first dart of every
 vertex rotation fixed (global canonical deduplication absorbs the
 rotational redundancy).  Kept maps are those whose Newton verdict
-passes.  Workers key each kept map in the orientation-preserving (OP)
-sense, which searches one chirality; the OP classes are then joined into
-reflection-allowed classes, each recording how many OP classes it holds.
+passes.  Workers key kept maps in the orientation-preserving (OP) sense,
+which searches one chirality, until a certificate is met: by
+orbit-stabilizer, the OP classes found, weighted by their automorphism
+counts, account for every kept map of the vector (see _scan_vector).
+The OP classes are then joined into reflection-allowed classes, each
+recording how many OP classes it holds.
 
 Everything downstream of the candidate stream is deterministic: class
 representatives are decoded from their canonical keys, so the atlas
@@ -26,10 +29,12 @@ from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import (chain, combinations, combinations_with_replacement,
                        permutations, product)
+from math import factorial, prod
 from typing import (Iterator, Optional, Sequence, get_args, get_origin,
                     get_type_hints)
 
-from .canon import CanonicalKey, canonical_key, _edge_label, _map_from_trace
+from .canon import (CanonicalKey, canonical_key, _count_isomorphisms,
+                    _edge_label, _map_from_trace)
 from .duality import dual
 from .embedded_map import (EmbeddedMap, UnsuitableMapError, degree_sequence,
                            face_degree_sequence, facial_walks, mirror, validate)
@@ -122,18 +127,54 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
 def _scan_vector(args) -> set:
     """Worker: the OP key traces of one vector's Newton maps.
 
+    The vertex relabelings that fix the vector, each with every
+    relabeling of the parallel edges, permute its candidates, and their
+    orbits are its OP classes: by orbit-stabilizer a class with |Aut+|
+    automorphisms holds _relabelings(v)/|Aut+| of the accepted
+    candidates.  So the accepted candidates are keyed in order only until
+    the classes found hold all of them.
     Keys carry no labels, so the union of the results of any partition
     of the vectors is the same set.
     """
     order, mult = args
+    accepted = [m for m in _vector_candidates(order, mult)
+                if validate(m).ok and is_newton(m, order).verdict != "not-newton"]
+    weight = _relabelings(order, mult)
+    left = len(accepted)  # accepted candidates in no class found yet
     found = set()
-    for m in _vector_candidates(order, mult):
-        if not validate(m).ok:
+    for m in accepted:
+        if not left:
+            break
+        trace = canonical_key(m, False).trace
+        if trace in found:
             continue
-        if is_newton(m, order).verdict == "not-newton":
-            continue
-        found.add(canonical_key(m, False).trace)
+        found.add(trace)
+        aut = _count_isomorphisms(m.sigma, m.sigma)
+        if aut < 1 or weight % aut:
+            raise ClassificationMismatchError(
+                f"vector {mult}: {aut} automorphisms do not divide {weight} "
+                "relabelings")
+        left -= weight // aut
+        if left < 0:
+            raise ClassificationMismatchError(
+                f"vector {mult}: classes hold more than its {len(accepted)} "
+                "accepted candidates")
+    if left:
+        raise ClassificationMismatchError(
+            f"vector {mult}: classes hold {len(accepted) - left} of its "
+            f"{len(accepted)} accepted candidates")
     return found
+
+
+def _relabelings(order: int, mult: tuple[int, ...]) -> int:
+    """stab(v)·∏ m_ij!: the vertex permutations that fix vector mult, each
+    with every permutation of the parallel edges of each pair."""
+    pairs = list(combinations(range(order), 2))
+    index = {p: k for k, p in enumerate(pairs)}
+    stab = sum(all(mult[index[min(p[i], p[j]), max(p[i], p[j])]] == c
+                   for (i, j), c in zip(pairs, mult))
+               for p in permutations(range(order)))
+    return stab * prod(map(factorial, mult))
 
 
 def _resolve_jobs(jobs: int, n_tasks: int) -> int:
@@ -208,15 +249,15 @@ def _atlas_entry(rep: EmbeddedMap) -> AtlasEntry:
 
 def _duality_fields(m: EmbeddedMap) -> dict:
     """The key and duality fields of m's atlas entry, by AtlasEntry name."""
-    key, key_op = canonical_key(m, True), canonical_key(m, False)
+    key = canonical_key(m, True)
     d = dual(m)
     dual_key = canonical_key(d, True)
     # every rotation system is a candidate and mirroring keeps the Newton
     # conditions, so the class's OP classes are those of m and its mirror
-    return dict(key=key, key_op=key_op, dual_key=dual_key,
+    return dict(key=key, key_op=canonical_key(m, False), dual_key=dual_key,
                 self_dual=dual_key == key,
-                self_dual_op=canonical_key(d, False) == key_op,
-                op_forms=1 if canonical_key(mirror(m), False) == key_op else 2)
+                self_dual_op=_count_isomorphisms(m.sigma, d.sigma) > 0,
+                op_forms=1 if _count_isomorphisms(m.sigma, mirror(m).sigma) else 2)
 
 
 def self_duality(m: EmbeddedMap) -> SelfDuality:

@@ -11,10 +11,11 @@ lists are anti-clockwise rotations and facial walks run clockwise;
 the parser normalizes by reversing, so parsing always yields the same
 convention.
 
-Serialization is canonical: edges sorted by name, vertices sorted by
-name, each rotation rotated to start at its lexicographically smallest
-token, no orientation marker.  On such documents parse and serialize
-are mutually inverse byte for byte.
+Serialization is canonical: edges and vertices sorted by name, shorter
+names first (so v2 before v10, and z before e27, as decoded class maps
+number them), each rotation rotated to start at its lexicographically
+smallest token, no orientation marker.  On such documents parse and
+serialize are mutually inverse byte for byte.
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ def _rotation_tokens(m: EmbeddedMap, vertex) -> list[str]:
     return toks[start:] + toks[:start]
 
 
+def _name_order(name: str) -> tuple[int, str]:
+    return len(name), name
+
+
 def serialize(m: EmbeddedMap) -> str:
     """Canonical document for m; requires plain-word vertex and edge names."""
     for v in m.vertices:
@@ -147,10 +152,10 @@ def serialize(m: EmbeddedMap) -> str:
             raise ValueError(f"edge id {e!r} not serializable")
 
     lines = [f"order {m.order}"]
-    for k in sorted(range(m.n_edges), key=m.edges.__getitem__):
+    for k in sorted(range(m.n_edges), key=lambda k: _name_order(m.edges[k])):
         u, v = m.endpoints(k)
         lines.append(f"edge {m.edges[k]} {u} {v}")
-    for vertex in sorted(m.vertices):
+    for vertex in sorted(m.vertices, key=_name_order):
         lines.append(f"rot {vertex} " + " ".join(_rotation_tokens(m, vertex)))
     return "\n".join(lines) + "\n"
 

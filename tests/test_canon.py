@@ -5,14 +5,14 @@ import random
 import pytest
 
 from _oracle import (SizeGuardError, brute_force_iso, full_search_sided,
-                     trace_from)
+                     full_search_trace, trace_from)
 from conftest import (build_chiral, build_sphere_n2, canonical_form,
                       raw_candidates)
 from newtonmaps import (CanonicalKey, MapStructureError, are_equivalent,
                         canon, canonical_key, dual, is_newton, make_map,
                         mirror, parse, refinement, relabel, serialize,
                         validate)
-from newtonmaps.canon import _map_from_trace
+from newtonmaps.canon import _count_isomorphisms, _map_from_trace
 
 N2_KEY_HEX = "01020304040005060601000707030205"
 
@@ -237,6 +237,7 @@ def test_key_decodes_to_its_fixpoint_past_26_edges(build, sense):
     assert rep.edges[-1] == f"e{m.n_edges}"
     doc = serialize(rep)
     assert serialize(parse(doc)) == doc
+    assert parse(doc) == rep
 
 
 def test_key_search_matches_full_search():
@@ -311,3 +312,20 @@ def test_key_search_leaves_shared_array_unset(monkeypatch):
             if len(finished) < m.n_darts:
                 kinds.add("skipped")
     assert kinds == {"traced", "aborted", "skipped"}
+
+
+def test_automorphism_count_matches_full_search():
+    # |Aut+| is the number of roots whose full trace is the least one
+    accepted = [m for m in raw_candidates(2) if is_newton(m, 2).verdict == "newton"]
+    accepted += [m for m in raw_candidates(3) if is_newton(m, 3).verdict == "newton"]
+    assert len(accepted) == 6 + 1372
+    maps = accepted + [mirror(m) for m in accepted]
+    maps += [_torus_grid(3, 3), _torus_grid(4, 7)]
+    counts = set()
+    for m in maps:
+        least = full_search_trace(m.sigma)[0]
+        want = sum(trace_from(m.sigma, root)[0] == least
+                   for root in range(m.n_darts))
+        assert _count_isomorphisms(m.sigma, m.sigma) == want
+        counts.add(want)
+    assert counts == {1, 2, 6, 8, 36, 56}  # 3x3: 9 shifts x 4 turns; 4x7: 28 x 2

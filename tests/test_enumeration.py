@@ -18,11 +18,11 @@ from newtonmaps import (ClassificationMismatchError, SelfDuality, Stratum,
                         classify, dual, enumerate_newton, facial_walks,
                         is_newton, make_map, mirror, parse, report_to_json,
                         self_duality, serialize, validate, verify_atlas)
-from newtonmaps.canon import _map_from_trace
+from newtonmaps.canon import _count_isomorphisms, _map_from_trace
 from newtonmaps.embedded_map import _cycles
-from newtonmaps.enumeration import (_multiplicity_vectors, _resolve_jobs,
-                                    _scan_vector, _vector_candidates,
-                                    label_atlas)
+from newtonmaps.enumeration import (_multiplicity_vectors, _relabelings,
+                                    _resolve_jobs, _scan_vector,
+                                    _vector_candidates, label_atlas)
 
 # every class of the order-3 table, as
 # (delta_star, delta, self_dual, self_dual_op, op_forms) with multiplicity
@@ -120,20 +120,105 @@ def test_newton_candidate_count_order3():
     assert hits == 1372
 
 
-@pytest.mark.parametrize("order, n_op", [(2, 1), (3, 14)])
+# small connected order-4 vectors, keyed by stab(v): the vertex
+# permutations that fix them number 1, 2, 4 and 8, and no 8-edge vector
+# on four vertices is fixed by more
+ORDER4_SAMPLE = {1: (0, 1, 2, 3, 1, 1), 2: (1, 1, 1, 1, 2, 2),
+                 4: (1, 1, 1, 1, 1, 3), 8: (1, 1, 2, 2, 1, 1)}
+
+
+def _scanned_vectors(order):
+    """Every vector at orders 2 and 3; the sample at order 4."""
+    if order == 4:
+        return list(ORDER4_SAMPLE.values())
+    return _multiplicity_vectors(order, 2)
+
+
+def _accepted(order, mult):
+    return [m for m in _vector_candidates(order, mult)
+            if validate(m).ok and is_newton(m, order).verdict != "not-newton"]
+
+
+@pytest.mark.parametrize("order, n_op", [(2, 1), (3, 14), (4, 47)])
 def test_op_keyed_scan_matches_reflection_keys(order, n_op, request):
-    """Keying each OP class once with reflection allowed finds the classes
-    that keying every accepted candidate with reflection allowed finds."""
-    vectors = _multiplicity_vectors(order, 2)
-    every = {canonical_key(m, True)
-             for mult in vectors for m in _vector_candidates(order, mult)
-             if validate(m).ok and is_newton(m, order).verdict != "not-newton"}
+    """The scan, which stops keying a vector once its classes hold every
+    accepted candidate, finds the OP classes that keying every accepted
+    candidate finds; keyed with reflection allowed, they are the atlas's
+    classes."""
+    vectors = _scanned_vectors(order)
+    accepted = [m for mult in vectors for m in _accepted(order, mult)]
+    every = {canonical_key(m, True) for m in accepted}
     op = set().union(*(_scan_vector((order, mult)) for mult in vectors))
+    assert op == {canonical_key(m, False).trace for m in accepted}
     assert len(op) == n_op
     assert {canonical_key(_map_from_trace(t), True) for t in op} == every
+    if order == 4:  # no order-4 atlas
+        return
     atlas = request.getfixturevalue(f"atlas{order}")
     assert {e.key for e in atlas} == every
     assert sum(e.op_forms for e in atlas) == n_op
+
+
+@pytest.mark.parametrize("order, total", [(2, 6), (3, 1372), (4, 588)])
+def test_classes_hold_each_vector_s_accepted_candidates(order, total):
+    # orbit-stabilizer: in each vector, the class of a map with |Aut+|
+    # automorphisms holds stab(v)·∏ m_ij!/|Aut+| accepted candidates
+    seen = 0
+    for mult in _scanned_vectors(order):
+        members = Counter()
+        sigma_of = {}
+        for m in _accepted(order, mult):
+            trace = canonical_key(m, False).trace
+            members[trace] += 1
+            sigma_of.setdefault(trace, m.sigma)
+        weight = _relabelings(order, mult)
+        for trace, count in members.items():
+            sigma = sigma_of[trace]
+            assert count * _count_isomorphisms(sigma, sigma) == weight
+        seen += sum(members.values())
+    assert seen == total
+    if order == 4:  # the weights hold, so the sample's stab(v) are as named
+        assert [_relabelings(4, mult) // math.prod(map(math.factorial, mult))
+                for mult in ORDER4_SAMPLE.values()] == list(ORDER4_SAMPLE)
+
+
+def test_scan_keys_until_the_classes_hold_every_candidate(monkeypatch):
+    import newtonmaps.enumeration as en
+    keyed = []
+
+    def counting(m, allow_reflection):
+        keyed.append(m)
+        return canonical_key(m, allow_reflection)
+
+    monkeypatch.setattr(en, "canonical_key", counting)
+    for order, keys in ((2, 1), (3, 140)):  # of 6 and 1372 accepted
+        keyed.clear()
+        for mult in _multiplicity_vectors(order, 2):
+            _scan_vector((order, mult))
+        assert len(keyed) == keys
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_miscounted_automorphisms_are_a_mismatch(monkeypatch, capsys, tmp_path, delta):
+    import newtonmaps.enumeration as en
+    from newtonmaps import cli
+    monkeypatch.setattr(en, "_count_isomorphisms",
+                        lambda sigma, tau: _count_isomorphisms(sigma, tau) + delta)
+    with pytest.raises(ClassificationMismatchError, match="vector"):
+        en.enumerate_newton(3)
+    assert cli.main(["classify", "--order", "3", "--out", str(tmp_path)]) == 4
+    assert "internal consistency failure: vector" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale, reason", [
+    (2, "hold more than its"), (0.5, "hold 20 of its 40")])
+def test_misweighted_vector_is_a_mismatch(monkeypatch, scale, reason):
+    import newtonmaps.enumeration as en
+    monkeypatch.setattr(en, "_relabelings",
+                        lambda order, mult: int(_relabelings(order, mult) * scale))
+    with pytest.raises(ClassificationMismatchError, match=reason):
+        _scan_vector((3, (2, 2, 2)))
 
 
 def test_missing_op_class_is_a_mismatch(monkeypatch):
