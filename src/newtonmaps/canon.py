@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .embedded_map import EmbeddedMap, UnsuitableMapError, _checked, _orbits, mirror
+from .embedded_map import EmbeddedMap, UnsuitableMapError, _checked, _cycles, mirror
 
 
 class WitnessError(RuntimeError):
@@ -190,8 +190,8 @@ def _map_from_trace(trace: tuple[int, ...]) -> EmbeddedMap:
     pairs = [d for d in range(n) if d < alpha[d]]
     for k, d in enumerate(pairs):
         dart[d], dart[alpha[d]] = 2 * k, 2 * k + 1
-    vertex, count = _orbits(sigma)
-    vertices = tuple(f"v{i + 1}" for i in range(count))
+    vertex, cycles = _cycles(sigma)
+    vertices = tuple(f"v{i + 1}" for i in range(len(cycles)))
     origin: list = [None] * n
     new_sigma = [0] * n
     for d in range(n):

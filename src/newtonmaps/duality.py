@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import eq
 
-from .embedded_map import (EmbeddedMap, MapStructureError, _checked, _orbits,
-                           _phi, facial_walks, make_map)
+from .embedded_map import EmbeddedMap, MapStructureError, _checked, _phi, make_map
 
 
 def dual(m: EmbeddedMap) -> EmbeddedMap:
@@ -23,20 +22,20 @@ def dual(m: EmbeddedMap) -> EmbeddedMap:
     order; every edge e is identified with its crossing dual edge, so the
     edge tuple is carried over unchanged.
     """
-    phi = _phi(_checked(m).sigma)
-    face, count = _orbits(phi)
-    labels = tuple(f"f{i + 1}" for i in range(count))
+    face, walks = _checked(m)._faces
+    labels = tuple(f"f{i + 1}" for i in range(len(walks)))
     origin = tuple(labels[f] for f in face)
-    return EmbeddedMap(labels, m.edges, tuple(phi), origin)
+    return EmbeddedMap(labels, m.edges, tuple(_phi(m.sigma)), origin)
 
 
-def _require_no_repeated_edge(m: EmbeddedMap) -> tuple[list[int], int]:
-    """(face index of each dart, face count); refuses a face repeating an edge."""
-    face, count = _orbits(_phi(_checked(m).sigma))
+def _require_no_repeated_edge(m: EmbeddedMap) -> tuple[list[int], tuple]:
+    """m's faces (face index of each dart, facial walks); refuses a face
+    repeating an edge."""
+    face, walks = _checked(m)._faces
     if any(map(eq, face[0::2], face[1::2])):
         raise MapStructureError(
             "refinement needs every facial walk to use each edge at most once")
-    return face, count
+    return face, walks
 
 
 def refinement(m: EmbeddedMap) -> EmbeddedMap:
@@ -55,8 +54,7 @@ def refinement(m: EmbeddedMap) -> EmbeddedMap:
     toroidal map with r faces this yields 4r vertices, 8r edges and 4r
     quadrilateral faces, one per corner of the base map.
     """
-    face, _ = _require_no_repeated_edge(m)
-    walks = facial_walks(m)
+    face, walks = _require_no_repeated_edge(m)
 
     edge_decls = []
     for d in range(m.n_darts):
@@ -111,8 +109,8 @@ class PGraph:
 
 
 def abstract_p_graph(m: EmbeddedMap) -> PGraph:
-    face, count = _require_no_repeated_edge(m)
-    labels = tuple(f"f{i + 1}" for i in range(count))
+    face, walks = _require_no_repeated_edge(m)
+    labels = tuple(f"f{i + 1}" for i in range(len(walks)))
     arcs = []
     for d in range(m.n_darts):
         arcs.append(((1, m.dart_origin[d]), (2, m.edge_of(d))))

@@ -54,8 +54,9 @@ class EmbeddedMap:
     vertices and edges are identifier tuples in display order; dart_origin
     maps each dart to the vertex it emanates from.  The edge pairing alpha
     is d -> d ^ 1 and is not stored.  The fields are immutable, so the
-    validation report, facial walks and vertex rotations are computed at
-    most once per map and kept out of equality, hashing and repr.
+    validation report, the faces (each dart's face index and the facial
+    walks, from one pass over phi) and the vertex rotations are computed
+    at most once per map and kept out of equality, hashing and repr.
     """
 
     vertices: tuple
@@ -68,13 +69,14 @@ class EmbeddedMap:
         return _structure_report(self)
 
     @cached_property
-    def _walks(self) -> tuple[tuple[int, ...], ...]:
-        return _trace_faces(self)
+    def _faces(self) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+        # face i is walk i: (each dart's face index, the facial walks)
+        return _cycles(_phi(self.sigma))
 
     @cached_property
     def _rotations(self) -> dict:
         # reversed, so a vertex keeps its first cycle, at its least dart
-        return {self.dart_origin[c[0]]: c for c in _cycles(self.sigma)[::-1]}
+        return {self.dart_origin[c[0]]: c for c in _cycles(self.sigma)[1][::-1]}
 
     @property
     def n_darts(self) -> int:
@@ -167,36 +169,21 @@ def _fault(message: str, vertex=None, edge=None) -> MapStructureError:
     return exc
 
 
-def _cycles(perm) -> tuple[tuple[int, ...], ...]:
-    """The cycles of a permutation of range(len(perm)), each starting at
-    its least element and listed by that element."""
-    seen = [False] * len(perm)
+def _cycles(perm) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Each element's cycle index, and the cycles of a permutation of
+    range(len(perm)): each cycle starts at its least element, and the
+    cycles are numbered and listed by that element."""
+    label = [-1] * len(perm)
     cycles = []
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            cyc.append(d)
-            d = perm[d]
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
-
-
-def _orbits(perm) -> tuple[list[int], int]:
-    """Each element's cycle index, cycles numbered by least element, and the count."""
-    label = [-1] * len(perm)
-    count = 0
-    for start in range(len(perm)):
         if label[start] < 0:
-            d = start
+            i, cyc, d = len(cycles), [], start
             while label[d] < 0:
-                label[d] = count
+                label[d] = i
+                cyc.append(d)
                 d = perm[d]
-            count += 1
-    return label, count
+            cycles.append(tuple(cyc))
+    return label, tuple(cycles)
 
 
 def validate(m: EmbeddedMap) -> ValidationReport:
@@ -226,20 +213,22 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
     for i in frame.isolated:
         defects.append(Defect("isolated-vertex",
                               f"vertex {m.vertices[i]!r} has no darts"))
-    if not mixes and _orbits(sigma)[1] != frame.n_origins:
+    cycle_of, cycles = _cycles(sigma)
+    if not mixes and len(cycles) != frame.n_origins:
         defects.append(Defect("split-vertex",
                               "a vertex's darts form more than one sigma cycle"))
-    # the surface is connected iff <sigma, alpha> is transitive: one walk
-    # along sigma and alpha from dart 0 reaches every dart
-    seen = [False] * n
+    # the surface is connected iff <sigma, alpha> is transitive: alpha
+    # joins every sigma-cycle to the one at dart 0
+    seen = [False] * len(cycles)
     seen[0] = True
     reached = [0]
-    for d in reached:
-        for e in (sigma[d], d ^ 1):
+    for c in reached:
+        for d in cycles[c]:
+            e = cycle_of[d ^ 1]
             if not seen[e]:
                 seen[e] = True
                 reached.append(e)
-    if len(reached) != n:
+    if len(reached) != len(cycles):
         defects.append(Defect("disconnected", "underlying surface is disconnected"))
 
     ok = not defects
@@ -299,11 +288,7 @@ def facial_walks(m: EmbeddedMap) -> tuple[tuple[int, ...], ...]:
     m.edge_of(d).  Walks are listed by their smallest dart, and each walk
     starts at that dart, so the output is fully determined by sigma.
     """
-    return _checked(m)._walks
-
-
-def _trace_faces(m: EmbeddedMap) -> tuple[tuple[int, ...], ...]:
-    return _cycles(_phi(m.sigma))
+    return _checked(m)._faces[1]
 
 
 def _phi(sigma) -> list[int]:

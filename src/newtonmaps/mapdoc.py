@@ -15,7 +15,8 @@ Serialization is canonical: edges and vertices sorted by name, shorter
 names first (so v2 before v10, and z before e27, as decoded class maps
 number them), each rotation rotated to start at its lexicographically
 smallest token, no orientation marker.  On such documents parse and
-serialize are mutually inverse byte for byte.
+serialize are mutually inverse byte for byte.  The DOT and JSON exports
+list edges (and DOT its vertices) in the same name order.
 """
 
 from __future__ import annotations
@@ -142,6 +143,10 @@ def _name_order(name: str) -> tuple[int, str]:
     return len(name), name
 
 
+def _edges_by_name(m: EmbeddedMap) -> list[int]:
+    return sorted(range(m.n_edges), key=lambda k: _name_order(str(m.edges[k])))
+
+
 def serialize(m: EmbeddedMap) -> str:
     """Canonical document for m; requires plain-word vertex and edge names."""
     for v in m.vertices:
@@ -152,7 +157,7 @@ def serialize(m: EmbeddedMap) -> str:
             raise ValueError(f"edge id {e!r} not serializable")
 
     lines = [f"order {m.order}"]
-    for k in sorted(range(m.n_edges), key=lambda k: _name_order(m.edges[k])):
+    for k in _edges_by_name(m):
         u, v = m.endpoints(k)
         lines.append(f"edge {m.edges[k]} {u} {v}")
     for vertex in sorted(m.vertices, key=_name_order):
@@ -163,10 +168,9 @@ def serialize(m: EmbeddedMap) -> str:
 def map_to_dot(m: EmbeddedMap) -> str:
     """Undirected multigraph rendering of the map's underlying graph."""
     lines = ["graph map {"]
-    for v in sorted(str(v) for v in m.vertices):
+    for v in sorted(map(str, m.vertices), key=_name_order):
         lines.append(f'  "{v}";')
-    order = sorted(range(m.n_edges), key=lambda k: str(m.edges[k]))
-    for k in order:
+    for k in _edges_by_name(m):
         u, v = m.endpoints(k)
         lines.append(f'  "{u}" -- "{v}" [label="{m.edges[k]}"];')
     lines.append("}")
@@ -177,5 +181,5 @@ def map_to_json_dict(m: EmbeddedMap) -> dict:
     rotations = {str(vertex): _rotation_tokens(m, vertex)
                  for vertex in sorted(m.vertices)}
     edges = [[str(m.edges[k]), *map(str, m.endpoints(k))]
-             for k in sorted(range(m.n_edges), key=m.edges.__getitem__)]
+             for k in _edges_by_name(m)]
     return {"order": m.order, "edges": edges, "rotations": rotations}

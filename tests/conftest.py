@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 
@@ -115,3 +116,37 @@ def build_loop_map():
         "rot w a.0 a.1 b c\n"
         "rot x b c\n"
     )
+
+
+def build_torus_grid(k: int, l: int):
+    """The k x l square grid on the torus: 4kl darts, every root ties."""
+    def x(i, j):
+        return f"x{i % k}_{j % l}"
+    edges, rotations = [], {}
+    for i in range(k):
+        for j in range(l):
+            edges += [(f"h{i}_{j}", (x(i, j), x(i + 1, j))),
+                      (f"u{i}_{j}", (x(i, j), x(i, j + 1)))]
+            # anti-clockwise: east, north, west, south
+            rotations[x(i, j)] = [f"h{i}_{j}", f"u{i}_{j}",
+                                  f"h{(i - 1) % k}_{j}", f"u{i}_{(j - 1) % l}"]
+    return make_map(edges, rotations)
+
+
+def build_random_multigraph(rng: random.Random, n_edges: int):
+    """A connected loopless multigraph with random rotations: high genus,
+    usually without symmetry."""
+    n_vertices = max(2, n_edges // 3)
+    pairs = [(rng.randrange(v), v) for v in range(1, n_vertices)]
+    while len(pairs) < n_edges:
+        a, b = rng.randrange(n_vertices), rng.randrange(n_vertices)
+        if a != b:
+            pairs.append((a, b))
+    edges = [(f"e{k}", (f"v{a}", f"v{b}")) for k, (a, b) in enumerate(pairs)]
+    rotations: dict = {f"v{i}": [] for i in range(n_vertices)}
+    for name, (u, v) in edges:
+        rotations[u].append(name)
+        rotations[v].append(name)
+    for toks in rotations.values():
+        rng.shuffle(toks)
+    return make_map(edges, rotations)

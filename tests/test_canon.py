@@ -6,8 +6,8 @@ import pytest
 
 from _oracle import (SizeGuardError, brute_force_iso, full_search_sided,
                      full_search_trace, trace_from)
-from conftest import (build_chiral, build_sphere_n2, canonical_form,
-                      raw_candidates)
+from conftest import (build_chiral, build_random_multigraph, build_sphere_n2,
+                      build_torus_grid, canonical_form, raw_candidates)
 from newtonmaps import (CanonicalKey, MapStructureError, are_equivalent,
                         canon, canonical_key, dual, is_newton, make_map,
                         mirror, parse, refinement, relabel, serialize,
@@ -185,44 +185,10 @@ def test_dual_key_closure(case1, case3):
         assert canonical_key(dual(d), True) == canonical_key(m, True)
 
 
-def _torus_grid(k: int, l: int):
-    """The k x l square grid on the torus: 4kl darts, every root ties."""
-    def x(i, j):
-        return f"x{i % k}_{j % l}"
-    edges, rotations = [], {}
-    for i in range(k):
-        for j in range(l):
-            edges += [(f"h{i}_{j}", (x(i, j), x(i + 1, j))),
-                      (f"u{i}_{j}", (x(i, j), x(i, j + 1)))]
-            # anti-clockwise: east, north, west, south
-            rotations[x(i, j)] = [f"h{i}_{j}", f"u{i}_{j}",
-                                  f"h{(i - 1) % k}_{j}", f"u{i}_{(j - 1) % l}"]
-    return make_map(edges, rotations)
-
-
-def _random_multigraph(rng: random.Random, n_edges: int):
-    """A connected loopless multigraph with random rotations: high genus,
-    usually without symmetry."""
-    n_vertices = max(2, n_edges // 3)
-    pairs = [(rng.randrange(v), v) for v in range(1, n_vertices)]
-    while len(pairs) < n_edges:
-        a, b = rng.randrange(n_vertices), rng.randrange(n_vertices)
-        if a != b:
-            pairs.append((a, b))
-    edges = [(f"e{k}", (f"v{a}", f"v{b}")) for k, (a, b) in enumerate(pairs)]
-    rotations: dict = {f"v{i}": [] for i in range(n_vertices)}
-    for name, (u, v) in edges:
-        rotations[u].append(name)
-        rotations[v].append(name)
-    for toks in rotations.values():
-        rng.shuffle(toks)
-    return make_map(edges, rotations)
-
-
 @pytest.mark.parametrize("build", [
-    lambda: _torus_grid(3, 5), lambda: _torus_grid(4, 7),
-    lambda: _random_multigraph(random.Random(5), 40),
-    lambda: _random_multigraph(random.Random(6), 120),
+    lambda: build_torus_grid(3, 5), lambda: build_torus_grid(4, 7),
+    lambda: build_random_multigraph(random.Random(5), 40),
+    lambda: build_random_multigraph(random.Random(6), 120),
 ], ids=["grid-3x5", "grid-4x7", "random-40", "random-120"])
 @pytest.mark.parametrize("sense", [True, False], ids=["refl", "op"])
 def test_key_decodes_to_its_fixpoint_past_26_edges(build, sense):
@@ -248,8 +214,8 @@ def test_key_search_matches_full_search():
                 if is_newton(m, 3).verdict == "newton"]
     assert len(accepted) == 1372
     maps = accepted + [mirror(m) for m in accepted]
-    maps += [_torus_grid(k, l) for k, l in ((3, 3), (3, 5), (4, 7), (8, 10))]
-    maps += [_random_multigraph(rng, e) for e in (12, 30, 60, 100, 160)]
+    maps += [build_torus_grid(k, l) for k, l in ((3, 3), (3, 5), (4, 7), (8, 10))]
+    maps += [build_random_multigraph(rng, e) for e in (12, 30, 60, 100, 160)]
     assert max(m.n_darts for m in maps) == 320
     for m in maps + [relabel(m, rng) for m in maps]:
         for sense in (True, False):
@@ -276,7 +242,7 @@ def test_key_search_prunes_ties_on_symmetric_grid(monkeypatch):
         return trace, order
 
     monkeypatch.setattr(canon, "_trace_from", counting)
-    grid = _torus_grid(9, 9)
+    grid = build_torus_grid(9, 9)
     key = canonical_key(grid, True)
     assert grid.n_darts == 324
     assert sum(finished) <= 10
@@ -300,7 +266,8 @@ def test_key_search_leaves_shared_array_unset(monkeypatch):
 
     monkeypatch.setattr(canon, "_trace_from", checked)
     kinds = set()
-    for m in (_torus_grid(9, 9), _random_multigraph(random.Random(31), 160)):
+    for m in (build_torus_grid(9, 9),
+              build_random_multigraph(random.Random(31), 160)):
         calls.clear()
         canonical_key(m, True)
         assert len(calls) == 2  # both chiralities
@@ -320,7 +287,7 @@ def test_automorphism_count_matches_full_search():
     accepted += [m for m in raw_candidates(3) if is_newton(m, 3).verdict == "newton"]
     assert len(accepted) == 6 + 1372
     maps = accepted + [mirror(m) for m in accepted]
-    maps += [_torus_grid(3, 3), _torus_grid(4, 7)]
+    maps += [build_torus_grid(3, 3), build_torus_grid(4, 7)]
     counts = set()
     for m in maps:
         least = full_search_trace(m.sigma)[0]

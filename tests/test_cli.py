@@ -143,15 +143,16 @@ def test_faces_json():
     }
 
 
-def test_faces_traces_once(monkeypatch, capsys):
-    calls = []
-    trace = embedded_map._trace_faces
-    monkeypatch.setattr(embedded_map, "_trace_faces",
-                        lambda m: calls.append(m) or trace(m))
+def test_faces_traces_once(monkeypatch, capsys, case1):
+    passes = []
+    real = embedded_map._cycles
+    monkeypatch.setattr(embedded_map, "_cycles",
+                        lambda perm: passes.append(tuple(perm)) or real(perm))
     assert cli.main(["faces", CASE1, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["euler_characteristic"], payload["genus"]) == (0, 1)
-    assert len(calls) == 1
+    # validation's sigma-cycles, then one pass over phi for the faces
+    assert passes == [case1.sigma, tuple(embedded_map._phi(case1.sigma))]
 
 
 def test_faces_refuses_invalid_map(docs):

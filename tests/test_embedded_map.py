@@ -7,11 +7,12 @@ import pytest
 
 from conftest import (build_efail_n2, build_loop_map, build_sphere_n2,
                       fixture_text)
-from newtonmaps import (EmbeddedMap, MapStructureError, are_equivalent,
-                        canonical_key, degree_sequence, dual, embedded_map,
-                        euler_characteristic, face_degree_sequence,
-                        facial_walks, genus, is_newton, make_map, mirror,
-                        parse, relabel, validate)
+from newtonmaps import (EmbeddedMap, MapStructureError, abstract_p_graph,
+                        are_equivalent, canonical_key, degree_sequence, dual,
+                        embedded_map, euler_characteristic,
+                        face_degree_sequence, facial_walks, genus, is_newton,
+                        make_map, mirror, newton, parse, refinement, relabel,
+                        validate)
 from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 from _oracle import (circuit_multiset, euler_from_doc, structure_report,
                      walk_circuits)
@@ -326,15 +327,17 @@ def test_facial_walks_require_valid_map():
 
 
 def test_each_map_validates_and_traces_once(monkeypatch):
-    calls = {"_structure_report": 0, "_trace_faces": 0}
-    for name in calls:
-        real = getattr(embedded_map, name)
-
-        def counted(m, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(m)
-        monkeypatch.setattr(embedded_map, name, counted)
+    reports, passes = [], []
+    real_report, real_cycles = embedded_map._structure_report, embedded_map._cycles
+    monkeypatch.setattr(embedded_map, "_structure_report",
+                        lambda m: reports.append(m) or real_report(m))
+    def counted(perm):
+        passes.append(tuple(perm))
+        return real_cycles(perm)
+    for module in (embedded_map, newton):
+        monkeypatch.setattr(module, "_cycles", counted)
     m = parse(fixture_text("case1.map"))
+    sigma, phi = m.sigma, tuple(embedded_map._phi(m.sigma))
     assert validate(m).ok
     assert len(facial_walks(m)) == 3
     rep = is_newton(m, 3)
@@ -342,8 +345,17 @@ def test_each_map_validates_and_traces_once(monkeypatch):
     assert rep.e_property.holds and rep.degree_bounds
     canonical_key(m)
     assert (euler_characteristic(m), genus(m)) == (0, 1)
+    assert passes == [sigma, phi, phi]
     dual(m)
-    assert calls == {"_structure_report": 1, "_trace_faces": 1}
+    assert passes == [sigma, phi, phi]
+    refinement(m)
+    abstract_p_graph(m)
+    assert len(reports) == 1
+    # validation's sigma-cycles, the cached faces, is_newton's own pass
+    # (it caches nothing on a candidate) and the cached vertex rotations
+    # that refinement reads: dual, refinement and abstract_p_graph find no
+    # faces of their own
+    assert passes == [sigma, phi, phi, sigma]
     # the cached values stay out of equality, hashing and repr
     fresh = parse(fixture_text("case1.map"))
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)

@@ -1,8 +1,11 @@
 """Document format: parsing, canonical serialization, exports."""
 
+import random
+
 import pytest
 
-from conftest import build_loop_map, fixture_text
+from conftest import (build_loop_map, build_random_multigraph, canonical_form,
+                      fixture_text)
 from newtonmaps import (ParseError, map_to_dot, map_to_json_dict, parse,
                         refinement, serialize, validate)
 
@@ -194,6 +197,21 @@ def test_map_to_json_dict(n2):
                   ["c", "v1", "v2"], ["d", "v1", "v2"]],
         "rotations": {"v1": ["a", "b", "c", "d"], "v2": ["a", "b", "c", "d"]},
     }
+
+
+def test_exports_follow_the_document_order():
+    # a decoded 40-edge map names its edges a ... z, e27 ... e40 and its
+    # vertices v1 ... v13; the exports list them as the document does
+    m = canonical_form(build_random_multigraph(random.Random(5), 40))
+    lines = serialize(m).splitlines()
+    edges = [line.split()[1:] for line in lines if line.startswith("edge ")]
+    vertices = [line.split()[1] for line in lines if line.startswith("rot ")]
+    assert edges[25:27] == [["z", "v8", "v6"], ["e27", "v7", "v13"]]
+    assert vertices[8:10] == ["v9", "v10"]
+    assert map_to_json_dict(m)["edges"] == edges
+    dot = [line.split('"') for line in map_to_dot(m).splitlines()]
+    assert [f[1] for f in dot if len(f) == 3] == vertices
+    assert [[f[5], f[1], f[3]] for f in dot if len(f) == 7] == edges
 
 
 def test_loop_tokens_in_export():

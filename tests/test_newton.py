@@ -1,10 +1,13 @@
 """Newton-graph predicates."""
 
+import random
 from collections import Counter
+from dataclasses import replace
 
 from conftest import (build_efail_n2, build_grid4, build_loop_map,
-                      build_sphere_n2, raw_candidates)
-from newtonmaps import EWitness, facial_walks, is_newton, serialize
+                      build_random_multigraph, build_sphere_n2,
+                      build_torus_grid, raw_candidates)
+from newtonmaps import EWitness, facial_walks, is_newton, parse, serialize
 from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 from _oracle import newton_reference
 
@@ -114,6 +117,28 @@ def test_is_newton_agrees_with_reference():
                     break
                 tally[i] += 1
         assert [tally[i] for i in range(6)] == funnel
+    # past 12 darts: torus grids up to 7 x 7 (up to 49 faces, E holds), each
+    # with its last rotation's first two tokens swapped (a 12-dart walk then
+    # repeats an edge), and random high-genus maps with long walks.  The
+    # reference lists faces by least edge-end as text, so the random maps'
+    # edges are renamed to one width to keep its order the document's.
+    docs = []
+    for k, l in ((3, 3), (3, 5), (4, 6), (5, 7), (7, 7)):
+        doc = serialize(build_torus_grid(k, l))
+        *head, last = doc.splitlines()
+        rot, v, a, b, *rest = last.split()
+        swapped = "\n".join([*head, " ".join([rot, v, b, a, *rest])]) + "\n"
+        docs += [(doc, k * l), (swapped, k * l)]
+    for seed, n_edges in ((2, 60), (3, 150), (5, 45)):
+        m = build_random_multigraph(random.Random(seed), n_edges)
+        m = replace(m, edges=tuple(f"e{k:03d}" for k in range(m.n_edges)))
+        docs.append((serialize(m), m.order))
+    verdicts = Counter()
+    for doc, order in docs:
+        rep = is_newton(parse(doc), order)
+        assert _report_fields(rep) == newton_reference(doc, order)
+        verdicts[rep.verdict, rep.e_property.witness is None] += 1
+    assert verdicts == {("e-only", True): 5, ("not-newton", False): 8}
 
 
 def test_witness_is_the_first_face_repeating_an_edge():

@@ -109,10 +109,12 @@ def test_canonical_form_is_stable(data):
 @common
 @given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
 def test_cycles_partition_a_permutation(perm):
-    cycles = _cycles(perm)
+    label, cycles = _cycles(perm)
     assert sorted(d for c in cycles for d in c) == list(range(len(perm)))
-    for c in cycles:
+    assert len(label) == len(perm)
+    for i, c in enumerate(cycles):
         assert c[0] == min(c)
-        assert all(perm[d] == c[(i + 1) % len(c)] for i, d in enumerate(c))
+        assert all(perm[d] == c[(j + 1) % len(c)] for j, d in enumerate(c))
+        assert all(label[d] == i for d in c)
     starts = [c[0] for c in cycles]
     assert starts == sorted(starts)
