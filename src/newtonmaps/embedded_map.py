@@ -304,11 +304,8 @@ def euler_characteristic(m: EmbeddedMap) -> int:
 
 
 def genus(m: EmbeddedMap) -> int:
-    chi = euler_characteristic(m)
-    if chi % 2 != 0 or chi > 2:
-        raise MapStructureError(f"characteristic {chi} is not that of a closed "
-                                "orientable surface")
-    return (2 - chi) // 2
+    # validation makes chi even (sign φ = sign σ·sign α) and ≤ 2 (⟨σ, α⟩ transitive)
+    return (2 - euler_characteristic(m)) // 2
 
 
 def degree_sequence(m: EmbeddedMap) -> tuple[int, ...]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import (chain, combinations, combinations_with_replacement,
@@ -56,7 +55,6 @@ class AtlasEntry:
     key: CanonicalKey            # reflection-allowed
     key_op: CanonicalKey         # orientation-preserving key of the representative
     representative: EmbeddedMap  # decoded from key
-    representative_doc: str
     delta: tuple[int, ...]
     delta_star: tuple[int, ...]
     max_face: int
@@ -137,6 +135,8 @@ def _scan_vector(args) -> set:
     of the vectors is the same set.
     """
     order, mult = args
+    # is_newton refuses what validate refuses, but perfbench's traced funnel
+    # counts candidates by these calls (until ROADMAP item 1b)
     accepted = [m for m in _vector_candidates(order, mult)
                 if validate(m).ok and is_newton(m, order).verdict != "not-newton"]
     weight = _relabelings(order, mult)
@@ -201,6 +201,7 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
     if jobs == 1:
         results = map(_scan_vector, tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_scan_vector, tasks))
     op_traces = set().union(*results)
@@ -237,7 +238,6 @@ def _atlas_entry(rep: EmbeddedMap) -> AtlasEntry:
     return AtlasEntry(
         order=rep.order,
         representative=rep,
-        representative_doc=serialize(rep),
         delta=degree_sequence(rep),
         delta_star=delta_star,
         max_face=max_face,
@@ -361,17 +361,16 @@ def label_atlas(entries: Sequence[AtlasEntry]) -> tuple[AtlasEntry, ...]:
 # ---------------------------------------------------------------------------
 # atlas and report serialization
 
-# The record is AtlasEntry's fields by name, as JSON, under two rules: the
-# representative is held as its canonical document (representative_doc),
-# and each key as its hex() text, read back in the sense named here.
+# The record is AtlasEntry's fields by name, as JSON, under one rule: a map
+# or key is held as its one text, as serialize() or hex() writes it, and a
+# key is read back in the sense named here.
 _KEY_SENSES = {"key": True, "key_op": False, "dual_key": True}
-_RECORD = [f for f in fields(AtlasEntry) if f.name != "representative_doc"]
 _HINTS = get_type_hints(AtlasEntry)
 
 
 def entry_to_json_dict(e: AtlasEntry) -> dict:
-    rec = {f.name: getattr(e, f.name) for f in _RECORD}
-    rec["representative"] = e.representative_doc
+    rec = {f.name: getattr(e, f.name) for f in fields(AtlasEntry)}
+    rec["representative"] = serialize(e.representative)
     for name in _KEY_SENSES:
         rec[name] = rec[name].hex()
     return {name: list(v) if type(v) is tuple else v for name, v in rec.items()}
@@ -402,7 +401,10 @@ def _field(name: str, value):
     if hint is CanonicalKey:
         return CanonicalKey.from_hex(value, _KEY_SENSES[name])
     if hint is EmbeddedMap:
-        return parse(value)
+        m = parse(value)
+        if serialize(m) != value:  # each map has one text, as each key does
+            raise ValueError(f"field {name!r} is not as serialize() writes it")
+        return m
     return tuple(value) if type(value) is list else value
 
 
@@ -415,14 +417,13 @@ def atlas_from_jsonl(text: str) -> tuple[AtlasEntry, ...]:
             rec = json.loads(line)
             if type(rec) is not dict:
                 raise TypeError("record is not a JSON object")
-            unknown = sorted(rec.keys() - {f.name for f in _RECORD})
+            unknown = sorted(rec.keys() - {f.name for f in fields(AtlasEntry)})
             if unknown:
                 raise TypeError(f"unknown field {unknown[0]!r}")
             values = {f.name: _field(f.name, rec[f.name] if f.default is MISSING
                                      else rec.get(f.name, f.default))
-                      for f in _RECORD}
-            entries.append(AtlasEntry(representative_doc=rec["representative"],
-                                      **values))
+                      for f in fields(AtlasEntry)}
+            entries.append(AtlasEntry(**values))
         except KeyError as exc:
             raise ParseError(f"atlas record lacks field {exc}", lineno) from None
         except (ValueError, TypeError) as exc:

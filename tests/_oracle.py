@@ -9,14 +9,19 @@ Map equivalence is decided by anchored exhaustive propagation, without
 the canonical keys, and the canonical key search is checked against the
 search it replaced, which traces every root in full.  Structural
 validation is checked against the per-dart checks and dart search it
-replaced.
+replaced.  The class counts are checked by the orbit-counting lemma over
+the accepted candidates' symmetries, again without keys.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
+from math import factorial, prod
 
 from newtonmaps.embedded_map import Defect, ValidationReport
+from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
+from newtonmaps.newton import is_newton
 
 
 def _doc_tables(text: str):
@@ -173,6 +178,36 @@ def brute_force_iso(a, b, allow_reflection: bool = True) -> bool:
             if _propagate(a.sigma, sb, t):
                 return True
     return False
+
+
+def orbit_class_counts(order: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(OP, reflection, duality) class counts of the order's Newton maps,
+    by the orbit-counting lemma and without keys.
+
+    Relabeling the vertices and parallel edges, w = r!·∏ m_ij! ways for a
+    candidate of multiplicities m_ij, permutes the accepted candidates
+    (those the package's Newton filter, checked against newton_reference,
+    keeps), so a class whose maps have |Aut⁺| automorphisms holds
+    w/|Aut⁺| of them: the sum of |Aut⁺|/w counts OP classes.  Averaging
+    over mirror and dual as well counts the coarser classes.  Each count is of the dart bijections f
+    with f(d ^ 1) = f(d) ^ 1 and f∘σ = τ∘f, for τ = σ (Aut⁺), σ⁻¹ (Aut⁻),
+    φ and φ⁻¹ (the dualities), where φ(d) = σ(d ^ 1); only σ is read.
+    """
+    op = refl = dual = Fraction(0)
+    for mult in _multiplicity_vectors(order, 2):
+        w = factorial(order) * prod(map(factorial, mult))
+        for m in _vector_candidates(order, mult):
+            if is_newton(m, order).verdict == "not-newton":
+                continue
+            sigma = m.sigma
+            phi = tuple(sigma[d ^ 1] for d in range(len(sigma)))
+            aut, aut_mirror, *dualities = (
+                sum(_propagate(sigma, tau, t) for t in range(len(sigma)))
+                for tau in (sigma, _inverse(sigma), phi, _inverse(phi)))
+            op += Fraction(aut, w)
+            refl += Fraction(aut + aut_mirror, 2 * w)
+            dual += Fraction(aut + aut_mirror + sum(dualities), 4 * w)
+    return op, refl, dual
 
 
 def trace_from(sigma, root: int):

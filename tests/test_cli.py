@@ -324,6 +324,16 @@ def test_iso_broken_witness_exits_4_under_optimize():
     assert "internal consistency failure" in r.stderr
 
 
+def test_cli_import_loads_no_pool_machinery():
+    # only a run with --jobs above 1 starts a pool and imports its modules
+    script = ("import sys, newtonmaps.cli\n"
+              "print(sorted({'concurrent.futures.process', 'multiprocessing'}\n"
+              "             & sys.modules.keys()))\n")
+    r = subprocess.run([sys.executable, "-c", script],
+                       capture_output=True, text=True, cwd=ROOT)
+    assert (r.returncode, r.stdout) == (0, "[]\n")
+
+
 def test_selfdual(docs):
     r = run_cli("selfdual", CASE3)
     assert r.returncode == 0
@@ -511,10 +521,18 @@ def _atlas_line(edit):
     _atlas_line(lambda rec: {**rec, "key": "0A"}),
     _atlas_line(lambda rec: {**rec, "dual_key": " ".join(
         rec["dual_key"][i:i + 2] for i in range(0, len(rec["dual_key"]), 2))}),
+    # the same map, but not as serialize() writes it
+    _atlas_line(lambda rec: {**rec, "representative": rec["representative"]
+                             .replace("rot v1 a b c d", "rot v1 b c d a")}),
+    _atlas_line(lambda rec: {**rec, "representative": "# n2\n" + rec["representative"]}),
+    _atlas_line(lambda rec: {**rec, "representative": "orientation clockwise-faces\n"
+                             + rec["representative"]}),
 ], ids=["missing-key_op", "json-list", "delta-int", "malformed-json",
         "bad-key-hex", "representative-int", "op_forms-str", "order-str",
         "delta-str-item", "self_dual-str", "op_forms-bool", "unknown-field",
-        "representative_doc-field", "key-upper-case-hex", "dual_key-spaced-hex"])
+        "representative_doc-field", "key-upper-case-hex", "dual_key-spaced-hex",
+        "representative-rotated-rot", "representative-comment",
+        "representative-orientation"])
 def test_atlas_refuses_malformed_record(tmp_path, bad):
     path = tmp_path / "bad.jsonl"
     path.write_text((FIXTURES / "atlas_order2.jsonl").read_text() + bad + "\n")

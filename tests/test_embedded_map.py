@@ -362,9 +362,10 @@ def test_each_map_validates_and_traces_once(monkeypatch):
 
 
 def test_genus_rejects_odd_characteristic(n2):
-    # force an impossible count by lying about the vertex set size
+    # a vertex without darts would make chi odd; validation refuses the map
+    # first, so genus never sees a characteristic it cannot read
     bad = EmbeddedMap(n2.vertices + ("v3",), n2.edges, n2.sigma, n2.dart_origin)
-    with pytest.raises(MapStructureError):
+    with pytest.raises(MapStructureError, match="isolated-vertex"):
         genus(bad)
 
 

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from _oracle import brute_force_iso
+from _oracle import brute_force_iso, orbit_class_counts
 from conftest import (FIXTURES, build_chiral, build_grid4, build_sphere_n2,
                       raw_candidates)
 from newtonmaps import (ClassificationMismatchError, SelfDuality, Stratum,
@@ -252,7 +252,15 @@ def test_order2_atlas(atlas2):
 
 def test_order2_atlas_contains_fixture(n2, atlas2):
     assert atlas2[0].key == canonical_key(n2, True)
-    assert serialize(atlas2[0].representative) == atlas2[0].representative_doc
+    assert serialize(atlas2[0].representative) == (FIXTURES / "n2.map").read_text()
+
+
+@pytest.mark.parametrize("order, counts", [(2, (1, 1, 1)), (3, (14, 12, 9))])
+def test_key_free_class_counts(order, counts, request):
+    # (OP, reflection, duality) classes by the orbit-counting lemma, keyless
+    assert orbit_class_counts(order) == counts
+    report = classify(request.getfixturevalue(f"atlas{order}"))
+    assert (report.count_op, report.count_refl, report.count_dual) == counts
 
 
 def test_order2_report(atlas2):
@@ -350,8 +358,9 @@ def test_duality_fields_match_brute_force(atlas2, atlas3):
 
 def test_order3_representatives_are_canonical(atlas3):
     for e in atlas3:
-        m = parse(e.representative_doc)
-        assert serialize(m) == e.representative_doc
+        doc = serialize(e.representative)
+        m = parse(doc)
+        assert m == e.representative and serialize(m) == doc
         assert canonical_key(m, True) == e.key
         assert canonical_key(m, False) == e.key_op
         assert is_newton(m, 3).verdict == "newton"
