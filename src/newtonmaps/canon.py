@@ -132,29 +132,27 @@ def _count_isomorphisms(sigma, tau) -> int:
     """The number of dart bijections f with f(d ^ 1) = f(d) ^ 1 and
     f(sigma(d)) = tau(f(d)); with tau = sigma, |Aut+| of sigma's map.
 
-    sigma's map must be connected, so f is fixed by f(0): one propagation
-    from dart 0 per target dart, O(n^2) in all, for small maps.  It
-    shares nothing with the key search, so a pruning fault there cannot
-    make a count agree with the keys.
+    Both maps must be connected, on equally many darts: f(0) fixes f, and
+    f is onto, as its image is closed under tau and alpha.  One propagation
+    per target, O(n^2) in all; it shares nothing with the key search, so a
+    pruning fault there cannot make a count agree with the keys.
     """
     return sum(_extends(sigma, tau, target) for target in range(len(sigma)))
 
 
 def _extends(sigma, tau, target: int) -> bool:
-    """Whether f(0) = target propagates to such a bijection f."""
-    n = len(sigma)
-    f = [-1] * n
-    hit = [False] * n
-    f[0], hit[target] = target, True
+    """Whether f(0) = target propagates to such a map f, over every dart."""
+    f = [None] * len(sigma)
+    f[0] = target
     reached = [0]
     for d in reached:
         for e, fe in ((sigma[d], tau[f[d]]), (d ^ 1, f[d] ^ 1)):
-            if f[e] < 0 and not hit[fe]:
-                f[e], hit[fe] = fe, True
+            if f[e] is None:
+                f[e] = fe
                 reached.append(e)
             elif f[e] != fe:
                 return False
-    return len(reached) == n
+    return True
 
 
 def _best_trace_sided(m: EmbeddedMap, allow_reflection: bool):

@@ -270,7 +270,7 @@ def _frame(vertices: tuple, origin: tuple) -> _Frame:
     return _Frame(tuple(defects),
                   tuple([i for i, v in enumerate(vertices) if v not in degree]),
                   len(degree), next(compress(range(len(origin)), loops), None),
-                  min(degree.values(), default=0), max(degree.values(), default=0))
+                  min(degree.values()), max(degree.values()))
 
 
 def _checked(m: EmbeddedMap) -> EmbeddedMap:
@@ -336,10 +336,8 @@ def relabel(m: EmbeddedMap, rng: random.Random) -> EmbeddedMap:
     rng.shuffle(edge_order)
     flips = [rng.randrange(2) for _ in range(ne)]
     pos = {old: new for new, old in enumerate(edge_order)}
-    perm = [0] * m.n_darts  # old dart -> new dart
-    for k in range(ne):
-        for j in (0, 1):
-            perm[2 * k + j] = 2 * pos[k] + (j ^ flips[k])
+    # old dart -> new dart
+    perm = [2 * pos[d // 2] + (d % 2 ^ flips[d // 2]) for d in range(m.n_darts)]
     n = m.n_darts
     sigma = [0] * n
     origin: list = [None] * n

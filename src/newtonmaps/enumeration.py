@@ -401,7 +401,10 @@ def _field(name: str, value):
     if hint is CanonicalKey:
         return CanonicalKey.from_hex(value, _KEY_SENSES[name])
     if hint is EmbeddedMap:
-        m = parse(value)
+        try:
+            m = parse(value)
+        except ParseError as exc:  # its line counts lines of the field's text
+            raise ValueError(f"field {name!r}: document {exc}") from None
         if serialize(m) != value:  # each map has one text, as each key does
             raise ValueError(f"field {name!r} is not as serialize() writes it")
         return m

@@ -288,6 +288,8 @@ def test_automorphism_count_matches_full_search():
     assert len(accepted) == 6 + 1372
     maps = accepted + [mirror(m) for m in accepted]
     maps += [build_torus_grid(3, 3), build_torus_grid(4, 7)]
+    # a pendant edge: sigma fixes dart 0
+    maps.append(make_map([("a", ("u", "v"))], {"u": ["a"], "v": ["a"]}))
     counts = set()
     for m in maps:
         least = full_search_trace(m.sigma)[0]
@@ -296,3 +298,23 @@ def test_automorphism_count_matches_full_search():
         assert _count_isomorphisms(m.sigma, m.sigma) == want
         counts.add(want)
     assert counts == {1, 2, 6, 8, 36, 56}  # 3x3: 9 shifts x 4 turns; 4x7: 28 x 2
+
+
+@pytest.mark.parametrize("step", [lambda m, d: d ^ 1, lambda m, d: m.sigma[d]],
+                         ids=["keeps-alpha", "keeps-sigma"])
+def test_broken_witness_is_an_internal_fault(monkeypatch, case1, step):
+    # the second map's visit order is moved by step, so the witness f is
+    # step itself; on case1, d -> d ^ 1 respects alpha but not sigma, and
+    # d -> sigma(d) respects sigma but not alpha
+    real, calls = canon._best_trace_sided, []
+
+    def skewed(m, allow_reflection):
+        trace, order, mirrored = real(m, allow_reflection)
+        calls.append(m)
+        if len(calls) == 2:
+            order = [step(m, d) for d in order]
+        return trace, order, mirrored
+
+    monkeypatch.setattr(canon, "_best_trace_sided", skewed)
+    with pytest.raises(canon.WitnessError, match="witness fails at dart"):
+        are_equivalent(case1, case1, False)

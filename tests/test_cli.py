@@ -303,6 +303,17 @@ def test_canon_refuses_wide_key_before_searching(monkeypatch, tmp_path):
         assert "disconnected" in err
 
 
+def test_canon_keys_the_widest_map_its_text_holds(tmp_path):
+    # 128 parallel edges make 256 darts, the most a key's text holds: two
+    # trace bytes per dart, 1,024 hex digits.  129 edges are too many
+    for n, code, digits in ((128, 0, 1024), (129, 3, 0)):
+        edges, rot = _parallel_edges(n, "u", "v")
+        path = tmp_path / f"parallel{n}.map"
+        path.write_text(serialize(make_map(edges, rot)))
+        got, out, err = _in_process("canon", str(path))
+        assert (got, len(out.strip())) == (code, digits)
+
+
 def test_iso_broken_witness_exits_4_under_optimize():
     # the witness check must survive python -O, which strips asserts
     script = (
@@ -398,6 +409,10 @@ def test_classify_order3_golden_files(tmp_path):
         FIXTURES / "classification_order3.json").read_text()
 
 
+def test_classify_runs_one_process_by_default():
+    assert cli.build_parser().parse_args(["classify", "--order", "3"]).jobs == 1
+
+
 def test_classify_unsupported_order():
     assert run_cli("classify", "--order", "1").returncode == 3
 
@@ -479,7 +494,31 @@ def test_atlas_audit_checks_labels_at_order2(tmp_path, field, value):
     r = run_cli("atlas", str(bad))
     assert r.returncode == 4
     assert r.stdout == ""
-    assert f"field {field!r} does not match" in r.stderr
+    assert r.stderr == (f"internal consistency failure: entry {rec['key'][:12]}: "
+                        f"field {field!r} does not match its representative\n")
+
+
+def test_atlas_audit_takes_records_without_optional_fields(tmp_path):
+    # an omitted paper_label or label_ambiguous takes its default
+    golden = FIXTURES / "atlas_order2.jsonl"
+    rec = json.loads(golden.read_text())
+    del rec["paper_label"], rec["label_ambiguous"]
+    path = tmp_path / "atlas.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    want = _in_process("atlas", str(golden))
+    assert want[0] == 0 and _in_process("atlas", str(path)) == want
+
+
+def test_atlas_audit_names_the_missing_dual(tmp_path):
+    records = [json.loads(line) for line in
+               (FIXTURES / "atlas_order3.jsonl").read_text().splitlines()]
+    gone = next(r for r in records if not r["self_dual"])
+    path = tmp_path / "atlas.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records if r is not gone))
+    r = run_cli("atlas", str(path))
+    assert (r.returncode, r.stdout) == (4, "")
+    assert r.stderr == (f"internal consistency failure: dual of class "
+                        f"{gone['dual_key'][:12]} missing from atlas\n")
 
 
 @pytest.mark.parametrize("build", [build_efail_n2, build_sphere_n2])
@@ -495,8 +534,11 @@ def test_atlas_audit_refuses_non_newton_classes(tmp_path, build, canonical):
     path.write_text(atlas_to_jsonl([_atlas_entry(x) for x in reps]))
     r = run_cli("atlas", str(path))
     assert r.returncode == 4
-    reason = "does not have verdict" if canonical else "not the map its key"
-    assert reason in r.stderr
+    first = json.loads(path.read_text().splitlines()[0])
+    reason = (f"representative does not have verdict {first['verdict']!r}"
+              if canonical else "representative is not the map its key describes")
+    assert r.stderr == (f"internal consistency failure: entry {first['key'][:12]}: "
+                        f"{reason}\n")
 
 
 def _atlas_line(edit):
@@ -539,6 +581,21 @@ def test_atlas_refuses_malformed_record(tmp_path, bad):
     r = run_cli("atlas", str(path))
     assert r.returncode == 3
     assert r.stderr.startswith("error: line 2:")
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("delta", 5, "field 'delta' should be list of int, not 5"),
+    ("op_forms", "2", "field 'op_forms' should be int, not '2'"),
+    # the inner line number counts lines of the representative's document
+    ("representative", (FIXTURES / "n2.map").read_text().replace(
+        "rot v1 a b c d", "rot v1 a b c x"),
+     "field 'representative': document line 6: unknown edge 'x' at vertex 'v1'"),
+], ids=["list", "scalar", "representative"])
+def test_atlas_names_the_field_at_fault(tmp_path, field, value, reason):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_atlas_line(lambda rec: {**rec, field: value}) + "\n")
+    assert _in_process("atlas", str(path)) == (
+        3, "", f"error: line 1: bad atlas record: {reason}\n")
 
 
 @pytest.mark.parametrize("extra, reason", [

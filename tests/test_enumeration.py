@@ -18,6 +18,7 @@ from newtonmaps import (ClassificationMismatchError, SelfDuality, Stratum,
                         classify, dual, enumerate_newton, facial_walks,
                         is_newton, make_map, mirror, parse, report_to_json,
                         self_duality, serialize, validate, verify_atlas)
+from newtonmaps import enumeration as en
 from newtonmaps.canon import _count_isomorphisms, _map_from_trace
 from newtonmaps.embedded_map import _cycles
 from newtonmaps.enumeration import (_multiplicity_vectors, _relabelings,
@@ -396,6 +397,16 @@ def test_label_matching_rejects_wrong_shapes(atlas2, atlas3):
         label_atlas(rest)
 
 
+@pytest.mark.parametrize("counts", [dict(count_refl=11), dict(count_dual=8)],
+                         ids=["classes", "duality-classes"])
+def test_label_matching_rejects_one_wrong_count(monkeypatch, atlas3, counts):
+    # either count wrong alone is a failure, the other as published
+    report = dataclasses.replace(classify(atlas3), **counts)
+    monkeypatch.setattr(en, "classify", lambda entries: report)
+    with pytest.raises(ClassificationMismatchError, match="expected 12"):
+        label_atlas(atlas3)
+
+
 def test_enumeration_deduplicates_against_brute_force(atlas3):
     rng = random.Random(17)
     newts = [m for m in raw_candidates(3)
@@ -485,11 +496,12 @@ def test_unsupported_orders():
 
 
 def test_order4_warns_e_only(monkeypatch):
-    import newtonmaps.enumeration as en
     monkeypatch.setattr(en, "_multiplicity_vectors", lambda order, md: [])
-    with pytest.warns(UserWarning, match="e-only"):
+    with pytest.warns(UserWarning, match="e-only") as warned:
         entries = en.enumerate_newton(4)
     assert entries == ()
+    # the warning points at the caller of enumerate_newton
+    assert [w.filename for w in warned] == [__file__]
 
 
 def test_classify_rejects_mixed_input(atlas2, atlas3):

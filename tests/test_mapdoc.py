@@ -1,5 +1,6 @@
 """Document format: parsing, canonical serialization, exports."""
 
+import dataclasses
 import random
 
 import pytest
@@ -174,6 +175,10 @@ def test_serialize_orders_edge_lines():
 def test_serialize_requires_plain_names(n2):
     with pytest.raises(ValueError, match="not serializable"):
         serialize(refinement(n2))
+    for name in ("x-y", 5):  # vertex names are plain words here
+        m = dataclasses.replace(n2, edges=n2.edges[:-1] + (name,))
+        with pytest.raises(ValueError, match=f"edge id {name!r} not serializable"):
+            serialize(m)
 
 
 def test_map_to_dot(n2):
