@@ -56,13 +56,10 @@ def refinement(m: EmbeddedMap) -> EmbeddedMap:
     """
     face, walks = _require_no_repeated_edge(m)
 
-    edge_decls = []
-    for d in range(m.n_darts):
-        k = d // 2
-        edge_decls.append((("h", d), (("v", m.dart_origin[d]), ("s", m.edges[k]))))
-    for d in range(m.n_darts):
-        k = d // 2
-        edge_decls.append((("g", d), (("s", m.edges[k]), ("f", face[d] + 1))))
+    edge_decls = [(("h", d), (("v", m.dart_origin[d]), ("s", m.edge_of(d))))
+                  for d in range(m.n_darts)]
+    edge_decls += [(("g", d), (("s", m.edge_of(d)), ("f", face[d] + 1)))
+                   for d in range(m.n_darts)]
 
     rotations = {}
     for v in m.vertices:

@@ -68,15 +68,22 @@ class EmbeddedMap:
     def _report(self) -> ValidationReport:
         return _structure_report(self)
 
+    def _share_report(self, report: Optional[ValidationReport]) -> ValidationReport:
+        return vars(self).setdefault("_report", report or self._report)
+
     @cached_property
     def _faces(self) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
         # face i is walk i: (each dart's face index, the facial walks)
         return _cycles(_phi(self.sigma))
 
     @cached_property
+    def _sigma_cycles(self) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+        return _cycles(self.sigma)  # read by validation and the rotations
+
+    @cached_property
     def _rotations(self) -> dict:
         # reversed, so a vertex keeps its first cycle, at its least dart
-        return {self.dart_origin[c[0]]: c for c in _cycles(self.sigma)[1][::-1]}
+        return {self.dart_origin[c[0]]: c for c in self._sigma_cycles[1][::-1]}
 
     @property
     def n_darts(self) -> int:
@@ -213,7 +220,7 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
     for i in frame.isolated:
         defects.append(Defect("isolated-vertex",
                               f"vertex {m.vertices[i]!r} has no darts"))
-    cycle_of, cycles = _cycles(sigma)
+    cycle_of, cycles = m._sigma_cycles
     if not mixes and len(cycles) != frame.n_origins:
         defects.append(Defect("split-vertex",
                               "a vertex's darts form more than one sigma cycle"))

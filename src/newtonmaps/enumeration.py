@@ -6,9 +6,10 @@ pairs, with every degree at least 2 (a degree-1 vertex forces a facial
 walk through its pendant edge twice, so the pruning loses nothing); for
 each multigraph, all rotation systems with the first dart of every
 vertex rotation fixed (global canonical deduplication absorbs the
-rotational redundancy).  Kept maps are those whose Newton verdict
-passes.  Workers key kept maps in the orientation-preserving (OP) sense,
-which searches one chirality, until a certificate is met: by
+rotational redundancy).  A vector's candidates share one validation
+report, since the vector decides it.  Kept maps are those whose Newton
+verdict passes.  Workers key kept maps in the orientation-preserving
+(OP) sense, which searches one chirality, until a certificate is met: by
 orbit-stabilizer, the OP classes found, weighted by their automorphism
 counts, account for every kept map of the vector (see _scan_vector).
 The OP classes are then joined into reflection-allowed classes, each
@@ -114,12 +115,17 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
     # first dart of each rotation pinned; each rotation as its (dart, next) steps
     cycles = [[(d0,) + tail for tail in permutations(rest)] for d0, *rest in darts_at]
     rotations = [[tuple(zip(c, c[1:] + c[:1])) for c in cs] for cs in cycles]
-    sigma = [0] * len(ends)
+    sigma, report = [0] * len(ends), None
     for choice in product(*rotations):
         for steps in choice:
             for d, nxt in steps:
                 sigma[d] = nxt
-        yield EmbeddedMap(vertices, edges, tuple(sigma), origin)
+        m = EmbeddedMap(vertices, edges, tuple(sigma), origin)
+        # candidates share their frame, and each sigma is one cycle per vertex
+        # over its darts: a permutation, mixing no vertices, transitive with
+        # alpha iff the multigraph is connected; so the vector decides validation
+        report = m._share_report(report)
+        yield m
 
 
 def _scan_vector(args) -> set:
@@ -135,8 +141,8 @@ def _scan_vector(args) -> set:
     of the vectors is the same set.
     """
     order, mult = args
-    # is_newton refuses what validate refuses, but perfbench's traced funnel
-    # counts candidates by these calls (until ROADMAP item 1b)
+    # validate looks up the vector's one report and is_newton refuses what it
+    # refuses, but perfbench's traced funnel counts these calls (ROADMAP item 1b)
     accepted = [m for m in _vector_candidates(order, mult)
                 if validate(m).ok and is_newton(m, order).verdict != "not-newton"]
     weight = _relabelings(order, mult)

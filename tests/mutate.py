@@ -63,7 +63,7 @@ EQUIVALENT = {
     ("embedded_map", "phi = [0] * len(sigma)", "0 -> 1", 0): FILL,
     ("embedded_map", "inv = [0] * m.n_darts", "0 -> 1", 0): FILL,
     ("embedded_map", "sigma = [0] * n", "0 -> 1", 0): FILL,
-    ("enumeration", "sigma = [0] * len(ends)", "0 -> 1", 0): FILL,
+    ("enumeration", "sigma, report = [0] * len(ends), None", "0 -> 1", 0): FILL,
     ("canon", "dart = [0] * n  # trace dart -> map dart", "0 -> 1", 0): FILL,
     ("canon", "new_sigma = [0] * n", "0 -> 1", 0): FILL,
     ("canon", "MAX_DARTS = 256", "256 -> 257", 0):

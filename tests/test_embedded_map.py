@@ -310,6 +310,7 @@ def test_disjoint_tori_are_disconnected():
     assert (4, 0, 0, 0, 0, 4) in _multiplicity_vectors(4, 2)
     maps = list(_vector_candidates(4, (4, 0, 0, 0, 0, 4)))
     assert len(maps) == 6 ** 4
+    assert len({id(validate(m)) for m in maps}) == 1  # the vector's one report
     for m in maps:
         assert validate(m) == structure_report(m)
         assert [d.code for d in validate(m).defects] == ["disconnected"]
@@ -351,11 +352,11 @@ def test_each_map_validates_and_traces_once(monkeypatch):
     refinement(m)
     abstract_p_graph(m)
     assert len(reports) == 1
-    # validation's sigma-cycles, the cached faces, is_newton's own pass
-    # (it caches nothing on a candidate) and the cached vertex rotations
-    # that refinement reads: dual, refinement and abstract_p_graph find no
-    # faces of their own
-    assert passes == [sigma, phi, phi, sigma]
+    # the cached sigma-cycles, which validation and the vertex rotations
+    # that refinement reads share, the cached faces and is_newton's own
+    # pass (it caches nothing on a candidate): dual, refinement and
+    # abstract_p_graph find no faces of their own
+    assert passes == [sigma, phi, phi]
     # the cached values stay out of equality, hashing and repr
     fresh = parse(fixture_text("case1.map"))
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)

@@ -18,9 +18,9 @@ from newtonmaps import (ClassificationMismatchError, SelfDuality, Stratum,
                         classify, dual, enumerate_newton, facial_walks,
                         is_newton, make_map, mirror, parse, report_to_json,
                         self_duality, serialize, validate, verify_atlas)
-from newtonmaps import enumeration as en
+from newtonmaps import embedded_map, enumeration as en
 from newtonmaps.canon import _count_isomorphisms, _map_from_trace
-from newtonmaps.embedded_map import _cycles
+from newtonmaps.embedded_map import _cycles, _structure_report
 from newtonmaps.enumeration import (_multiplicity_vectors, _relabelings,
                                     _resolve_jobs, _scan_vector,
                                     _vector_candidates, label_atlas)
@@ -113,6 +113,54 @@ def test_vector_candidates_are_every_rotation_system_once():
             assert (sorted(map(sorted, _cycles(m.sigma)[1]))
                     == sorted([d for d in range(m.n_darts) if m.dart_origin[d] == v]
                               for v in m.vertices))
+
+
+def _multigraph_connected(order, mult):
+    """Whether the vector's multigraph is connected, by a search over its
+    vertex pairs."""
+    reached = {0}
+    for _ in range(order):
+        reached |= {v for p, c in zip(itertools.combinations(range(order), 2), mult)
+                    if c and reached & set(p) for v in p}
+    return len(reached) == order
+
+
+def test_vector_candidates_share_one_report():
+    """The vector decides every structure check, so its candidates share
+    one report, and it is each candidate's own: every candidate at orders
+    2 and 3, the first five of each vector at order 4, whose 15
+    disconnected vectors report only that."""
+    samples = [(o, mult, list(_vector_candidates(o, mult)))
+               for o in (2, 3) for mult in _multiplicity_vectors(o, 2)]
+    samples += [(4, mult, list(itertools.islice(_vector_candidates(4, mult), 5)))
+                for mult in _multiplicity_vectors(4, 2)]
+    assert [sum(o == k for o, _, _ in samples) for k in (2, 3, 4)] == [1, 19, 735]
+    assert sum(len(maps) for _, _, maps in samples) == 36 + 9432 + 5 * 735
+    disconnected = []
+    for order, mult, maps in samples:
+        shared = validate(maps[0])
+        for m in maps:
+            assert validate(m) is shared
+            assert validate(m) == _structure_report(m)
+        # no loops and no degree below 2: connectivity is the one check left
+        assert shared.ok == _multigraph_connected(order, mult)
+        if not shared.ok:
+            disconnected.append(mult)
+            assert [d.code for d in shared.defects] == ["disconnected"]
+    assert len(disconnected) == 15 and (4, 0, 0, 0, 0, 4) in disconnected
+
+
+def test_scan_builds_one_report_per_vector(monkeypatch):
+    # per-candidate validate and is_newton stay for the traced funnel, but
+    # the structure checks run once on each vector's first candidate
+    origins = []
+    real = embedded_map._structure_report
+    monkeypatch.setattr(embedded_map, "_structure_report",
+                        lambda m: origins.append(m.dart_origin) or real(m))
+    vectors = _multiplicity_vectors(3, 2)
+    for mult in vectors:
+        _scan_vector((3, mult))
+    assert len(vectors) == len(origins) == len(set(origins)) == 19
 
 
 def test_newton_candidate_count_order3():
