@@ -10,7 +10,7 @@ and every edge separates two distinct faces, so the dual is loopless.
 The angle condition needs no separate check at small orders: it always
 holds at order 2 and follows from the boundary condition at order 3, and
 no finite criterion for it is implemented beyond that, so larger orders
-can only ever be certified "e-only".  is_newton finds all faces in one pass.
+can only ever be certified "e-only".  is_newton labels faces in one loop.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import compress
 from operator import eq
 from typing import Optional
 
-from .embedded_map import EmbeddedMap, _cycles, _frame, _phi, validate
+from .embedded_map import EmbeddedMap, _frame, validate
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class EPropertyReport:
 
 
 _A_PROPERTY = {2: "always-holds", 3: "implied-by-E"}
+_HOLDS, _INVALID = EPropertyReport(True), EPropertyReport(False)
 
 
 def _accepted_verdict(order: int) -> str:
@@ -60,10 +61,10 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     """The Newton verdict: toroidal, loopless and E-property.
 
     Faces are phi-cycles, numbered by least dart, and a face's degree is
-    its walk's length; looplessness and vertex degrees come from
-    validation's frame facts.  The E-property holds when every edge's two
-    darts lie on different faces; else the witness is the first face
-    holding both, with the first dart of its walk whose partner is on it.
+    its length; looplessness and vertex degrees come from validation's
+    frame facts.  The E-property holds when every edge's two darts lie on
+    different faces; else the witness is the first face holding both, with
+    the first dart, on its walk from its least dart, whose partner is on it.
     The degree bounds (vertex and face degrees in (1, 2r], and 4r darts)
     are reported but do not gate the verdict, since the other conditions
     imply them: no loops keeps vertex degrees at most 2r and faces longer
@@ -73,22 +74,33 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     """
     status = _A_PROPERTY.get(order, "unavailable")
     if not validate(m).ok:
-        return NewtonReport(order, False, False, False,
-                            EPropertyReport(False), False, status, "not-newton")
-    # one pass over phi, not the cached m._faces: most candidates are
-    # thrown away, and a cache entry on each costs more than it saves
-    face, walks = _cycles(_phi(m.sigma))
+        return NewtonReport(order, False, False, False, _INVALID, False, status,
+                            "not-newton")
+    # label each dart's face, reading phi(d) = sigma(d ^ 1) inline, and count
+    # face lengths; _cycles lists the cycles that validation, facial_walks and
+    # canon read, but this lists nothing and caches nothing: most maps are dropped
+    sigma, face, sizes = m.sigma, [-1] * len(m.sigma), []
+    for s in range(len(sigma)):
+        if face[s] == -1:
+            f, d, k = len(sizes), s, 0
+            while face[d] == -1:
+                face[d], d, k = f, sigma[d ^ 1], k + 1
+            sizes.append(k)
     # r vertices, 2r edges and r faces force characteristic 0
-    toroidal = m.order == order and m.n_edges == 2 * order and len(walks) == order
-    f = min(compress(face[0::2], map(eq, face[0::2], face[1::2])), default=None)
-    e_rep = EPropertyReport(True)
-    if f is not None:
-        d = next(d for d in walks[f] if face[d ^ 1] == f)
-        e_rep = EPropertyReport(False, EWitness(f, m.edge_of(d)))
+    toroidal = (len(m.vertices), len(m.edges), len(sizes)) == (order, 2 * order, order)
+    e_rep = _HOLDS
+    if any(map(eq, face[0::2], face[1::2])):
+        f = min(compress(face[0::2], map(eq, face[0::2], face[1::2])))
+        d = face.index(f)
+        for _ in range(sizes[f]):
+            if face[d ^ 1] == f:
+                break
+            d = sigma[d ^ 1]
+        e_rep = EPropertyReport(False, EWitness(f, m.edges[d // 2]))
     frame = _frame(m.vertices, m.dart_origin)
     loopless = frame.first_loop is None
-    degrees = (frame.min_degree, frame.max_degree, *map(len, walks))
-    bounds = m.n_darts == 4 * order and 1 < min(degrees) and max(degrees) <= 2 * order
+    degrees = (frame.min_degree, frame.max_degree, *sizes)
+    bounds = len(sigma) == 4 * order and 1 < min(degrees) and max(degrees) <= 2 * order
     newton = toroidal and loopless and e_rep.holds
     return NewtonReport(order, True, toroidal, loopless, e_rep, bounds, status,
                         _accepted_verdict(order) if newton else "not-newton")

@@ -72,8 +72,8 @@ EQUIVALENT = {
         "an empty trace passes the width check at -1 + 1 and at -2 + 1 alike",
     ("embedded_map", "return (2 - euler_characteristic(m)) // 2", "2 -> 3", 0):
         "a valid map's characteristic is even",
-    ("newton", "f = min(compress(face[0::2], map(eq, face[0::2], face[1::2])), "
-     "default=None)", "0 -> 1", 0):
+    ("newton", "f = min(compress(face[0::2], map(eq, face[0::2], face[1::2])))",
+     "0 -> 1", 0):
         "the two slices are equal wherever compress selects",
     ("enumeration", "rotations = [[tuple(zip(c, c[1:] + c[:1])) for c in cs] "
      "for cs in cycles]", "1 -> 2", 1):

@@ -11,7 +11,7 @@ from newtonmaps import (EmbeddedMap, MapStructureError, abstract_p_graph,
                         are_equivalent, canonical_key, degree_sequence, dual,
                         embedded_map, euler_characteristic,
                         face_degree_sequence, facial_walks, genus, is_newton,
-                        make_map, mirror, newton, parse, refinement, relabel,
+                        make_map, mirror, parse, refinement, relabel,
                         validate)
 from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 from _oracle import (circuit_multiset, euler_from_doc, structure_report,
@@ -335,8 +335,7 @@ def test_each_map_validates_and_traces_once(monkeypatch):
     def counted(perm):
         passes.append(tuple(perm))
         return real_cycles(perm)
-    for module in (embedded_map, newton):
-        monkeypatch.setattr(module, "_cycles", counted)
+    monkeypatch.setattr(embedded_map, "_cycles", counted)
     m = parse(fixture_text("case1.map"))
     sigma, phi = m.sigma, tuple(embedded_map._phi(m.sigma))
     assert validate(m).ok
@@ -346,17 +345,17 @@ def test_each_map_validates_and_traces_once(monkeypatch):
     assert rep.e_property.holds and rep.degree_bounds
     canonical_key(m)
     assert (euler_characteristic(m), genus(m)) == (0, 1)
-    assert passes == [sigma, phi, phi]
+    assert passes == [sigma, phi]
     dual(m)
-    assert passes == [sigma, phi, phi]
+    assert passes == [sigma, phi]
     refinement(m)
     abstract_p_graph(m)
     assert len(reports) == 1
     # the cached sigma-cycles, which validation and the vertex rotations
-    # that refinement reads share, the cached faces and is_newton's own
-    # pass (it caches nothing on a candidate): dual, refinement and
-    # abstract_p_graph find no faces of their own
-    assert passes == [sigma, phi, phi]
+    # that refinement reads share, and the cached faces: is_newton labels
+    # faces in its own loop, lists no cycles and caches nothing, and dual,
+    # refinement and abstract_p_graph find no faces of their own
+    assert passes == [sigma, phi]
     # the cached values stay out of equality, hashing and repr
     fresh = parse(fixture_text("case1.map"))
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)

@@ -3,11 +3,13 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 from conftest import (build_efail_n2, build_grid4, build_loop_map,
                       build_random_multigraph, build_sphere_n2,
-                      build_torus_grid, raw_candidates)
-from newtonmaps import EWitness, facial_walks, is_newton, parse, serialize
+                      build_torus_grid, fixture_text, raw_candidates)
+from newtonmaps import (EPropertyReport, EWitness, NewtonReport, facial_walks,
+                        is_newton, parse, serialize, validate)
 from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 from _oracle import newton_reference
 
@@ -151,3 +153,39 @@ def test_witness_is_the_first_face_repeating_an_edge():
             assert _report_fields(is_newton(m, 3)) == newton_reference(serialize(m), 3)
             several += sum(any(d ^ 1 in w for d in w) for w in facial_walks(m)) > 1
     assert several == 2880
+
+
+def test_order4_candidates_agree_with_reference():
+    """The first 3 candidates of each order-4 vector: a connected one's
+    fields equal the reference's, and a disconnected one, which the
+    reference cannot tell, gets the invalid map's report."""
+    invalid = NewtonReport(4, False, False, False, EPropertyReport(False), False,
+                           "unavailable", "not-newton")
+    tally = Counter()
+    for mult in _multiplicity_vectors(4, 2):
+        for m in islice(_vector_candidates(4, mult), 3):
+            rep = is_newton(m, 4)
+            if validate(m).ok:
+                assert _report_fields(rep) == newton_reference(serialize(m), 4)
+            else:
+                assert rep == invalid
+            tally[rep.verdict, rep.connected] += 1
+    assert tally == {("e-only", True): 336, ("not-newton", True): 1824,
+                     ("not-newton", False): 45}
+
+
+def test_is_newton_caches_nothing():
+    """is_newton leaves on a map only what validation caches, and no faces."""
+    fields = {"vertices", "edges", "sigma", "dart_origin"}
+    for build, order, holds in ((lambda: parse(fixture_text("case1.map")), 3, True),
+                                (build_efail_n2, 2, False)):
+        m, validated = build(), build()
+        assert is_newton(m, order).e_property.holds == holds
+        validate(validated)
+        assert vars(m).keys() == vars(validated).keys()
+        assert vars(m).keys() - fields == {"_report", "_sigma_cycles"}
+    # a vector's later candidates hold the first one's report, so nothing
+    # but that report
+    for m in islice(_vector_candidates(3, _multiplicity_vectors(3, 2)[0]), 1, 6):
+        is_newton(m, 3)
+        assert vars(m).keys() - fields == {"_report"}
