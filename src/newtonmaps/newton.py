@@ -10,12 +10,14 @@ and every edge separates two distinct faces, so the dual is loopless.
 The angle condition needs no separate check at small orders: it always
 holds at order 2 and follows from the boundary condition at order 3, and
 no finite criterion for it is implemented beyond that, so larger orders
-can only ever be certified "e-only".  is_newton labels faces in one loop.
+can only ever be certified "e-only".  is_newton labels faces in one loop,
+shares one report per distinct outcome and caches nothing on the map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from operator import eq
 from typing import Optional
@@ -36,7 +38,6 @@ class EPropertyReport:
 
 
 _A_PROPERTY = {2: "always-holds", 3: "implied-by-E"}
-_HOLDS, _INVALID = EPropertyReport(True), EPropertyReport(False)
 
 
 def _accepted_verdict(order: int) -> str:
@@ -57,6 +58,19 @@ class NewtonReport:
     verdict: str  # newton | e-only | not-newton
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _report(order: int, connected: bool, toroidal: bool, loopless: bool,
+            f: Optional[int], edge: object, bounds: bool) -> NewtonReport:
+    """One outcome's report, built once and shared (reports are frozen).  f is
+    the first face repeating an edge, or None; typed keys keep True apart from 1."""
+    e_rep = EPropertyReport(connected and f is None,
+                            None if f is None else EWitness(f, edge))
+    newton = toroidal and loopless and e_rep.holds
+    return NewtonReport(order, connected, toroidal, loopless, e_rep, bounds,
+                        _A_PROPERTY.get(order, "unavailable"),
+                        _accepted_verdict(order) if newton else "not-newton")
+
+
 def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     """The Newton verdict: toroidal, loopless and E-property.
 
@@ -70,12 +84,10 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     imply them: no loops keeps vertex degrees at most 2r and faces longer
     than 1; the E-property keeps faces at most 2r long and rules out a
     pendant edge, which would run twice through one face; and both sums
-    count 4r darts.
+    count 4r darts.  Equal outcomes share one report; the map caches nothing.
     """
-    status = _A_PROPERTY.get(order, "unavailable")
     if not validate(m).ok:
-        return NewtonReport(order, False, False, False, _INVALID, False, status,
-                            "not-newton")
+        return _report(order, False, False, False, None, None, False)
     # label each dart's face, reading phi(d) = sigma(d ^ 1) inline, and count
     # face lengths; _cycles lists the cycles that validation, facial_walks and
     # canon read, but this lists nothing and caches nothing: most maps are dropped
@@ -88,19 +100,17 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
             sizes.append(k)
     # r vertices, 2r edges and r faces force characteristic 0
     toroidal = (len(m.vertices), len(m.edges), len(sizes)) == (order, 2 * order, order)
-    e_rep = _HOLDS
-    if any(map(eq, face[0::2], face[1::2])):
-        f = min(compress(face[0::2], map(eq, face[0::2], face[1::2])))
+    even, odd = face[0::2], face[1::2]
+    f = edge = None
+    if any(map(eq, even, odd)):
+        f = min(compress(even, map(eq, even, odd)))
         d = face.index(f)
         for _ in range(sizes[f]):
             if face[d ^ 1] == f:
                 break
             d = sigma[d ^ 1]
-        e_rep = EPropertyReport(False, EWitness(f, m.edges[d // 2]))
+        edge = m.edges[d // 2]
     frame = _frame(m.vertices, m.dart_origin)
-    loopless = frame.first_loop is None
     degrees = (frame.min_degree, frame.max_degree, *sizes)
     bounds = len(sigma) == 4 * order and 1 < min(degrees) and max(degrees) <= 2 * order
-    newton = toroidal and loopless and e_rep.holds
-    return NewtonReport(order, True, toroidal, loopless, e_rep, bounds, status,
-                        _accepted_verdict(order) if newton else "not-newton")
+    return _report(order, True, toroidal, frame.first_loop is None, f, edge, bounds)

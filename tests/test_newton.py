@@ -9,7 +9,7 @@ from conftest import (build_efail_n2, build_grid4, build_loop_map,
                       build_random_multigraph, build_sphere_n2,
                       build_torus_grid, fixture_text, raw_candidates)
 from newtonmaps import (EPropertyReport, EWitness, NewtonReport, facial_walks,
-                        is_newton, parse, serialize, validate)
+                        is_newton, make_map, parse, serialize, validate)
 from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 from _oracle import newton_reference
 
@@ -181,6 +181,7 @@ def test_is_newton_caches_nothing():
                                 (build_efail_n2, 2, False)):
         m, validated = build(), build()
         assert is_newton(m, order).e_property.holds == holds
+        assert is_newton(m, order) is is_newton(m, order)  # one shared report
         validate(validated)
         assert vars(m).keys() == vars(validated).keys()
         assert vars(m).keys() - fields == {"_report", "_sigma_cycles"}
@@ -189,3 +190,25 @@ def test_is_newton_caches_nothing():
     for m in islice(_vector_candidates(3, _multiplicity_vectors(3, 2)[0]), 1, 6):
         is_newton(m, 3)
         assert vars(m).keys() - fields == {"_report"}
+
+
+def test_equal_outcomes_share_one_report():
+    """The 9432 order-3 candidates have 35 distinct outcomes, and each
+    outcome's report is one object."""
+    reports = [is_newton(m, 3) for m in raw_candidates(3)]
+    assert len(reports) == 9432
+    assert len(set(reports)) == len({id(r) for r in reports}) == 35
+
+
+def test_shared_witness_keeps_its_edge_type():
+    """Maps equal but for the repeated edge's name, 1 or True, which compare
+    and hash equal, each get a witness naming their own edge."""
+    def efail(name):
+        return make_map([(name, ("v1", "v2")), ("b", ("v1", "v2")),
+                         ("c", ("v1", "v2")), ("d", ("v1", "v2"))],
+                        {"v1": [name, "b", "c", "d"], "v2": [name, "c", "b", "d"]})
+    for names in ((1, True), (True, 1)):
+        for name in names:
+            edge = is_newton(efail(name), 2).e_property.witness.repeated_edge
+            assert type(edge) is type(name)
+            assert repr(edge) == repr(name)
