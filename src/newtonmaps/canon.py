@@ -12,6 +12,9 @@ Piperno 2014).  A root is dropped at its first trace entry above the
 best so far.  Two roots with equal traces give an automorphism, and
 darts in one orbit have equal traces, so only the least dart of each
 orbit found so far is tried as a root.  Neither changes the minimum.
+`are_equivalent` searches b with a's trace as the bound: b's roots are
+dropped above a's key, and b's search finds the trace, root and
+chirality of an unbounded search exactly when b's key equals a's.
 """
 
 from __future__ import annotations
@@ -74,30 +77,36 @@ def _trace_from(sigma, root: int, bound: tuple[int, ...], idx: list[int]):
     idx[root] = 0
     order = [root]
     trace = []
-    tied = bool(bound)  # the trace so far equals bound's prefix
+    push = trace.append
+    n, k = 1, 0 if bound else None  # len(order); bound's next entry, None once below
     try:
         for d in order:
-            for nxt in (sigma[d], d ^ 1):
-                i = idx[nxt]
-                if i < 0:
-                    i = idx[nxt] = len(order)
-                    order.append(nxt)
-                if tied and i != bound[len(trace)]:
-                    if i > bound[len(trace)]:
+            s = sigma[d]
+            i = idx[s]
+            if i < 0:
+                i = idx[s] = n
+                n += 1
+                order.append(s)
+            d ^= 1
+            j = idx[d]
+            if j < 0:
+                j = idx[d] = n
+                n += 1
+                order.append(d)
+            if k is not None:
+                b, c = bound[k], bound[k + 1]
+                if i != b or j != c:
+                    if i > b or i == b and j > c:
                         return None, None
-                    tied = False
-                trace.append(i)
+                    k = None
+                else:
+                    k += 2
+            push(i)
+            push(j)
         return tuple(trace), order
     finally:
         for d in order:
             idx[d] = -1
-
-
-def _root(parent: list[int], i: int) -> int:
-    """i's root in the union-find forest parent, halving the path on the way."""
-    while parent[i] != i:
-        parent[i] = i = parent[parent[i]]
-    return i
 
 
 def _best_trace(sigma, bound: tuple[int, ...] = ()):
@@ -114,15 +123,21 @@ def _best_trace(sigma, bound: tuple[int, ...] = ()):
     idx = [-1] * len(sigma)  # shared by every root's trace
     best, best_order = bound, None
     for root in range(len(sigma)):
-        if _root(orbit, root) != root:
+        if orbit[root] != root:  # links run to smaller darts: roots are least
             continue
         trace, order = _trace_from(sigma, root, best, idx)
         if trace is None:
             continue
         if best_order is not None and trace == best:
             for d, e in zip(best_order, order):
-                d, e = _root(orbit, d), _root(orbit, e)
-                orbit[max(d, e)] = min(d, e)
+                while orbit[d] != d:
+                    orbit[d] = d = orbit[orbit[d]]
+                while orbit[e] != e:
+                    orbit[e] = e = orbit[orbit[e]]
+                if d < e:
+                    orbit[e] = d
+                else:
+                    orbit[d] = e
         else:
             best, best_order = trace, order
     return best, best_order
@@ -155,15 +170,16 @@ def _extends(sigma, tau, target: int) -> bool:
     return True
 
 
-def _best_trace_sided(m: EmbeddedMap, allow_reflection: bool):
-    """Returns (trace, order, mirrored) minimizing over permitted chiralities;
-    the mirror, searched with the first chirality's trace as its bound,
-    wins only when strictly smaller."""
-    trace, order = _best_trace(m.sigma)
+def _best_trace_sided(m: EmbeddedMap, allow_reflection: bool,
+                      bound: tuple[int, ...] = ()):
+    """Returns (trace, order, mirrored) minimizing over permitted chiralities
+    against bound, with order None if no trace reached it; the mirror, bound
+    by the first chirality's result, wins if strictly smaller or alone."""
+    trace, order = _best_trace(m.sigma, bound)
     mirrored = False
     if allow_reflection:
         trace2, order2 = _best_trace(mirror(m).sigma, trace)
-        if trace2 < trace:
+        if order is None or trace2 < trace:
             trace, order, mirrored = trace2, order2, True
     return trace, order, mirrored
 
@@ -216,8 +232,9 @@ def are_equivalent(a: EmbeddedMap, b: EmbeddedMap,
     if _checked(a).n_darts != _checked(b).n_darts:
         return IsoResult(False)
     ta, order_a, mir_a = _best_trace_sided(a, allow_reflection)
-    tb, order_b, mir_b = _best_trace_sided(b, allow_reflection)
-    if ta != tb:
+    # b's search prunes every root whose trace exceeds a's key
+    tb, order_b, mir_b = _best_trace_sided(b, allow_reflection, ta)
+    if order_b is None or tb != ta:
         return IsoResult(False)
     pos_a = {d: i for i, d in enumerate(order_a)}
     f = tuple(order_b[pos_a[d]] for d in range(a.n_darts))

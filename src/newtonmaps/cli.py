@@ -17,6 +17,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -39,7 +40,30 @@ def _load(path: str) -> EmbeddedMap:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_json_text(payload, "\n"))
+
+
+def _json_text(value, newline: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), whose indent would select
+    json's pure-Python encoder; strings take its C escaper.  newline is the
+    line break plus the indent of value's own line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:  # repr spells it as json does, and faster
+        return repr(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", [encode_basestring_ascii(v) if type(v) is str
+                                 else _json_text(v, inner) for v in value]
+    elif isinstance(value, dict):
+        brackets, items = "{}", [
+            encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+            + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+    else:
+        return json.dumps(value)  # True, False, None, floats
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _write_atomic(path: Path, text: str) -> None:

@@ -124,6 +124,10 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
             raise _fault(f"duplicate edge name {name!r}", edge=name)
         ends[name] = (u, v)
     index = {name: k for k, name in enumerate(ends)}
+    plain = {}  # a plain token's dart by (name, vertex); (name, end) pairs and faults miss
+    for k, (name, (u, v)) in enumerate(ends.items()):
+        if u != v and not isinstance(name, tuple):
+            plain[name, u], plain[name, v] = 2 * k, 2 * k + 1
 
     n = 2 * len(ends)
     sigma = [-1] * n
@@ -131,26 +135,11 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
     for vertex, tokens in rotations.items():
         darts = []
         for tok in tokens:
-            name, end = tok if isinstance(tok, tuple) else (tok, None)
-            if name not in index:
-                raise _fault(f"unknown edge {name!r} at vertex {vertex!r}", vertex)
-            u, v = ends[name]
-            if end is None:
-                if u == v:
-                    raise _fault(f"loop {name!r} needs an end selector in the "
-                                 f"rotation at {vertex!r}", vertex)
-                if vertex not in (u, v):
-                    raise _fault(f"edge {name!r} is not incident to vertex "
-                                 f"{vertex!r}", vertex)
-                end = 0 if vertex == u else 1
-            elif end not in (0, 1):
-                raise _fault(f"bad end selector {end!r} for edge {name!r}", vertex)
-            elif (u, v)[end] != vertex:
-                raise _fault(f"edge {name!r} end {end} belongs to vertex "
-                             f"{(u, v)[end]!r}, so it is not incident to "
-                             f"vertex {vertex!r}", vertex)
-            d = 2 * index[name] + end
+            d = plain.get((tok, vertex))
+            if d is None:
+                d = _resolve(tok, vertex, ends, index)
             if origin[d] is not None:
+                name = tok[0] if isinstance(tok, tuple) else tok
                 raise _fault(f"dart of edge {name!r} listed twice "
                              f"(vertex {vertex!r})", vertex)
             origin[d] = vertex
@@ -168,6 +157,28 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
         sigma=tuple(sigma),
         dart_origin=tuple(origin),
     )
+
+
+def _resolve(tok, vertex, ends: dict, index: dict) -> int:
+    """The dart of a (name, end) token in the rotation at vertex, or the fault
+    that forbids tok; a plain name here is one, since make_map's table holds
+    each edge's name at both its ends."""
+    name, end = tok if isinstance(tok, tuple) else (tok, None)
+    if name not in index:
+        raise _fault(f"unknown edge {name!r} at vertex {vertex!r}", vertex)
+    u, v = ends[name]
+    if end is None:
+        if u == v:
+            raise _fault(f"loop {name!r} needs an end selector in the "
+                         f"rotation at {vertex!r}", vertex)
+        raise _fault(f"edge {name!r} is not incident to vertex {vertex!r}", vertex)
+    elif end not in (0, 1):
+        raise _fault(f"bad end selector {end!r} for edge {name!r}", vertex)
+    elif (u, v)[end] != vertex:
+        raise _fault(f"edge {name!r} end {end} belongs to vertex "
+                     f"{(u, v)[end]!r}, so it is not incident to "
+                     f"vertex {vertex!r}", vertex)
+    return 2 * index[name] + end
 
 
 def _fault(message: str, vertex=None, edge=None) -> MapStructureError:

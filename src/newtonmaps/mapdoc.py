@@ -48,12 +48,12 @@ def parse(text: str) -> EmbeddedMap:
     ends: dict = {}
     rots: list[tuple] = []
     rot_seen: dict = {}
+    named: set = set()  # vertex names checked: each is checked once
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         kind = fields[0]
         if kind == "order":
             if order is not None:
@@ -72,9 +72,12 @@ def parse(text: str) -> EmbeddedMap:
         elif kind == "edge":
             if len(fields) != 4:
                 raise ParseError("edge needs: edge NAME U V", lineno)
-            name = _check_name(fields[1], "edge", lineno)
-            u = _check_name(fields[2], "vertex", lineno)
-            v = _check_name(fields[3], "vertex", lineno)
+            _, name, u, v = fields
+            _check_name(name, "edge", lineno)
+            if u not in named:
+                named.add(_check_name(u, "vertex", lineno))
+            if v not in named:
+                named.add(_check_name(v, "vertex", lineno))
             if name in ends:
                 raise ParseError(f"duplicate edge {name!r}", lineno)
             ends[name] = (u, v)
@@ -82,7 +85,9 @@ def parse(text: str) -> EmbeddedMap:
         elif kind == "rot":
             if len(fields) < 3:
                 raise ParseError("rot needs a vertex and at least one token", lineno)
-            vertex = _check_name(fields[1], "vertex", lineno)
+            vertex = fields[1]
+            if vertex not in named:
+                named.add(_check_name(vertex, "vertex", lineno))
             if vertex in rot_seen:
                 raise ParseError(f"duplicate rotation for vertex {vertex!r}", lineno)
             rot_seen[vertex] = lineno
@@ -97,24 +102,13 @@ def parse(text: str) -> EmbeddedMap:
     if len(rots) != order:
         raise ParseError(f"order is {order} but {len(rots)} rotation line(s) given")
 
-    # spelling only: make_map resolves the tokens and reports structural faults
+    # spelling only: make_map resolves the tokens and reports structural
+    # faults; a rotation listing only names of non-loop edges is spelled already
+    plain = {name for name, (u, v) in ends.items() if u != v}
     rotations: dict = {}
     for vertex, words, lineno in rots:
-        toks = []
-        for word in words:
-            name, dot, endtxt = word.partition(".")
-            loop = name in ends and ends[name][0] == ends[name][1]
-            if dot:
-                if endtxt not in ("0", "1"):
-                    raise ParseError(f"bad end selector in {word!r}", lineno)
-                if name in ends and not loop:
-                    raise ParseError(
-                        f"end selector on non-loop edge {name!r}", lineno)
-                toks.append((name, int(endtxt)))
-            elif loop:
-                raise ParseError(f"loop {name!r} needs .0/.1 end selectors", lineno)
-            else:
-                toks.append(name)
+        toks = words if plain.issuperset(words) else [
+            _spell(word, ends, lineno) for word in words]
         if orientation == "anticlockwise-faces":
             toks.reverse()
         rotations[vertex] = toks
@@ -125,16 +119,32 @@ def parse(text: str) -> EmbeddedMap:
         raise ParseError(str(exc), line) from exc
 
 
-def _token(m: EmbeddedMap, dart: int) -> str:
-    name = m.edge_of(dart)
-    if m.dart_origin[dart] == m.dart_origin[dart ^ 1]:
-        return f"{name}.{dart % 2}"
-    return str(name)
+def _spell(word: str, ends: dict, line: int):
+    """A rotation word as make_map's token: NAME, or (NAME, end) for a loop's
+    NAME.0 and NAME.1; make_map names an unknown NAME."""
+    name, dot, endtxt = word.partition(".")
+    loop = name in ends and ends[name][0] == ends[name][1]
+    if dot:
+        if endtxt not in ("0", "1"):
+            raise ParseError(f"bad end selector in {word!r}", line)
+        if name in ends and not loop:
+            raise ParseError(f"end selector on non-loop edge {name!r}", line)
+        return name, int(endtxt)
+    if loop:
+        raise ParseError(f"loop {name!r} needs .0/.1 end selectors", line)
+    return name
 
 
-def _rotation_tokens(m: EmbeddedMap, vertex) -> list[str]:
+def _dart_tokens(m: EmbeddedMap) -> list[str]:
+    """Each dart's rotation token: its edge's name, with .0 or .1 on a loop."""
+    origin = m.dart_origin
+    return [f"{m.edges[d // 2]}.{d % 2}" if origin[d] == origin[d ^ 1]
+            else str(m.edges[d // 2]) for d in range(m.n_darts)]
+
+
+def _rotation_tokens(m: EmbeddedMap, tokens: list[str], vertex) -> list[str]:
     """The rotation at vertex as tokens, started at its least token."""
-    toks = [_token(m, d) for d in m.rotation_at(vertex)]
+    toks = [tokens[d] for d in m.rotation_at(vertex)]
     start = toks.index(min(toks))
     return toks[start:] + toks[:start]
 
@@ -144,7 +154,8 @@ def _name_order(name: str) -> tuple[int, str]:
 
 
 def _edges_by_name(m: EmbeddedMap) -> list[int]:
-    return sorted(range(m.n_edges), key=lambda k: _name_order(str(m.edges[k])))
+    order = [_name_order(str(e)) for e in m.edges]
+    return sorted(range(m.n_edges), key=order.__getitem__)
 
 
 def serialize(m: EmbeddedMap) -> str:
@@ -156,12 +167,12 @@ def serialize(m: EmbeddedMap) -> str:
         if not isinstance(e, str) or not _NAME_RE.match(e):
             raise ValueError(f"edge id {e!r} not serializable")
 
+    origin, tokens = m.dart_origin, _dart_tokens(m)
     lines = [f"order {m.order}"]
-    for k in _edges_by_name(m):
-        u, v = m.endpoints(k)
-        lines.append(f"edge {m.edges[k]} {u} {v}")
-    for vertex in sorted(m.vertices, key=_name_order):
-        lines.append(f"rot {vertex} " + " ".join(_rotation_tokens(m, vertex)))
+    lines += [f"edge {m.edges[k]} {origin[2 * k]} {origin[2 * k + 1]}"
+              for k in _edges_by_name(m)]
+    lines += [f"rot {vertex} " + " ".join(_rotation_tokens(m, tokens, vertex))
+              for vertex in sorted(m.vertices, key=_name_order)]
     return "\n".join(lines) + "\n"
 
 
@@ -178,7 +189,8 @@ def map_to_dot(m: EmbeddedMap) -> str:
 
 
 def map_to_json_dict(m: EmbeddedMap) -> dict:
-    rotations = {str(vertex): _rotation_tokens(m, vertex)
+    tokens = _dart_tokens(m)
+    rotations = {str(vertex): _rotation_tokens(m, tokens, vertex)
                  for vertex in sorted(m.vertices)}
     edges = [[str(m.edges[k]), *map(str, m.endpoints(k))]
              for k in _edges_by_name(m)]

@@ -60,9 +60,11 @@ class NewtonReport:
 
 @lru_cache(maxsize=1024, typed=True)
 def _report(order: int, connected: bool, toroidal: bool, loopless: bool,
-            f: Optional[int], edge: object, bounds: bool) -> NewtonReport:
+            f: Optional[int], edge: object, bounds: bool, edge_types=None) -> NewtonReport:
     """One outcome's report, built once and shared (reports are frozen).  f is
-    the first face repeating an edge, or None; typed keys keep True apart from 1."""
+    the first face repeating an edge, or None; typed keys keep True apart from 1,
+    and edge_types, the _types of a name that is not a str, keeps ("a", True)
+    apart from ("a", 1)."""
     e_rep = EPropertyReport(connected and f is None,
                             None if f is None else EWitness(f, edge))
     newton = toroidal and loopless and e_rep.holds
@@ -101,7 +103,7 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     # r vertices, 2r edges and r faces force characteristic 0
     toroidal = (len(m.vertices), len(m.edges), len(sizes)) == (order, 2 * order, order)
     even, odd = face[0::2], face[1::2]
-    f = edge = None
+    f = edge = edge_types = None
     if any(map(eq, even, odd)):
         f = min(compress(even, map(eq, even, odd)))
         d = face.index(f)
@@ -110,7 +112,15 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
                 break
             d = sigma[d ^ 1]
         edge = m.edges[d // 2]
+        if not isinstance(edge, str):
+            edge_types = _types(edge)
     frame = _frame(m.vertices, m.dart_origin)
     degrees = (frame.min_degree, frame.max_degree, *sizes)
     bounds = len(sigma) == 4 * order and 1 < min(degrees) and max(degrees) <= 2 * order
-    return _report(order, True, toroidal, frame.first_loop is None, f, edge, bounds)
+    return _report(order, True, toroidal, frame.first_loop is None, f, edge, bounds,
+                   edge_types)
+
+
+def _types(name) -> object:
+    """name's type, with each tuple item's at every depth: what == ignores."""
+    return (type(name), tuple(map(_types, name))) if isinstance(name, tuple) else type(name)

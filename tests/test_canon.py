@@ -6,13 +6,14 @@ import pytest
 
 from _oracle import (SizeGuardError, brute_force_iso, full_search_sided,
                      full_search_trace, trace_from)
-from conftest import (build_chiral, build_random_multigraph, build_sphere_n2,
-                      build_torus_grid, canonical_form, raw_candidates)
+from conftest import (FIXTURES, build_chiral, build_random_multigraph,
+                      build_sphere_n2, build_torus_grid, canonical_form,
+                      raw_candidates)
 from newtonmaps import (CanonicalKey, MapStructureError, are_equivalent,
-                        canon, canonical_key, dual, is_newton, make_map,
-                        mirror, parse, refinement, relabel, serialize,
-                        validate)
-from newtonmaps.canon import _count_isomorphisms, _map_from_trace
+                        atlas_from_jsonl, canon, canonical_key, dual,
+                        is_newton, make_map, mirror, parse, refinement,
+                        relabel, serialize, validate)
+from newtonmaps.canon import IsoResult, _count_isomorphisms, _map_from_trace
 
 N2_KEY_HEX = "01020304040005060601000707030205"
 
@@ -281,6 +282,45 @@ def test_key_search_leaves_shared_array_unset(monkeypatch):
     assert kinds == {"traced", "aborted", "skipped"}
 
 
+def _unbounded_iso(a, b, sense: bool) -> IsoResult:
+    """The IsoResult of searching each map in full, b without a's trace as
+    its bound: the witness pairs the visit orders of each map's first root
+    reaching the least trace."""
+    if a.n_darts != b.n_darts:
+        return IsoResult(False)
+    ta, order_a, mir_a = full_search_sided(a.sigma, sense)
+    tb, order_b, mir_b = full_search_sided(b.sigma, sense)
+    if ta != tb:
+        return IsoResult(False)
+    pos_a = {d: i for i, d in enumerate(order_a)}
+    return IsoResult(True, tuple(order_b[pos_a[d]] for d in range(a.n_darts)),
+                     mir_a != mir_b)
+
+
+def test_bounded_iso_matches_unbounded_search():
+    # b is searched against a's trace; the answer, witness and chirality must
+    # be those of an unbounded search, on relabelled, mirrored, dual and
+    # inequivalent pairs of equal size, in both senses
+    rng = random.Random(41)
+    atlas = atlas_from_jsonl((FIXTURES / "atlas_order3.jsonl").read_text())
+    reps = [e.representative for e in atlas]
+    pairs = [(a, b) for a in reps for b in reps]
+    pairs += [(m, other(m)) for m in reps for other in (mirror, dual)]
+    maps = [build_random_multigraph(rng, e) for e in (12, 12, 30, 30, 45)]
+    maps += [build_torus_grid(k, l) for k, l in ((3, 3), (3, 4), (4, 6), (3, 8))]
+    for m in maps:
+        pairs += [(m, relabel(m, rng)), (m, mirror(relabel(m, rng)))]
+    pairs += [(maps[0], maps[1]), (maps[2], relabel(maps[3], rng)),
+              (maps[-2], maps[-1]), (maps[-1], mirror(maps[-2]))]
+    seen = set()
+    for a, b in pairs:
+        for sense in (True, False):
+            got = are_equivalent(a, b, sense)
+            assert got == _unbounded_iso(a, b, sense)
+            seen.add((got.equivalent, got.reflected))
+    assert seen == {(True, False), (True, True), (False, None)}
+
+
 def test_automorphism_count_matches_full_search():
     # |Aut+| is the number of roots whose full trace is the least one
     accepted = [m for m in raw_candidates(2) if is_newton(m, 2).verdict == "newton"]
@@ -308,8 +348,8 @@ def test_broken_witness_is_an_internal_fault(monkeypatch, case1, step):
     # d -> sigma(d) respects sigma but not alpha
     real, calls = canon._best_trace_sided, []
 
-    def skewed(m, allow_reflection):
-        trace, order, mirrored = real(m, allow_reflection)
+    def skewed(m, *sense_and_bound):
+        trace, order, mirrored = real(m, *sense_and_bound)
         calls.append(m)
         if len(calls) == 2:
             order = [step(m, d) for d in order]

@@ -321,8 +321,8 @@ def test_iso_broken_witness_exits_4_under_optimize():
         "from newtonmaps import canon, cli\n"
         "real = canon._best_trace_sided\n"
         "calls = []\n"
-        "def wrong(m, allow_reflection):\n"
-        "    trace, order, mirrored = real(m, allow_reflection)\n"
+        "def wrong(m, *sense_and_bound):\n"
+        "    trace, order, mirrored = real(m, *sense_and_bound)\n"
         "    calls.append(m)\n"
         "    if len(calls) == 2:\n"
         "        order = order[1:] + order[:1]\n"
@@ -660,3 +660,65 @@ def test_export_formats():
     payload = json.loads(r.stdout)
     assert payload["order"] == 3
     assert payload["rotations"]["v1"] == ["a", "b", "c", "d"]
+
+
+def test_json_output_is_json_dumps_indent_2(monkeypatch, capsys, docs):
+    # every payload a subcommand emits prints as json.dumps(payload,
+    # sort_keys=True, indent=2) does, plus a newline
+    emitted = []
+    real = cli._emit_json
+
+    def recording(payload):
+        emitted.append(payload)
+        real(payload)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    maps = [N2, CASE1, CASE3] + [str(p) for p in sorted(docs.glob("*.map"))]
+    argvs = [["atlas", str(FIXTURES / f"atlas_order{r}.jsonl"), "--format", "json"]
+             for r in (2, 3)]
+    for path in maps:
+        argvs += [[cmd, path, "--format", "json"] for cmd in
+                  ("validate", "faces", "refine", "pgraph", "selfdual")]
+        argvs += [["newton", path, "--order", r, "--format", "json"] for r in "23"]
+        argvs.append(["export", path, "--to", "json"])
+    commands = set()
+    for argv in argvs:
+        del emitted[:]
+        cli.main(argv)
+        out = capsys.readouterr().out
+        if emitted:
+            commands.add(argv[0])
+            assert out == json.dumps(emitted[0], sort_keys=True, indent=2) + "\n"
+    assert commands == {"validate", "faces", "refine", "pgraph", "selfdual",
+                        "newton", "atlas", "export"}
+
+
+def _payload(rng, depth):
+    """A nested JSON value: containers empty or not, dicts keyed by one key
+    type, and leaves that json spells in its own way."""
+    leaves = ["", "a", "\u00e9t\u00e9", "snow \u2603", "clef \U0001d11e",
+              'quote " back \\ slash', "tab\tnew\nline", "\x00\x1f\x7f", "</",
+              True, False, 1, 0, -7, 2 ** 70, None, 0.5, -0.0, 1e300,
+              float("inf"), float("nan")]
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(leaves)
+    items = [_payload(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if r < 0.5:
+        return items
+    if r < 0.6:
+        return tuple(items)
+    keys = rng.choice([["b", "a", "\u00e9", "\n", "A", "aa", ""], [3, -1, 20],
+                       [True, False], [None], [0.5, 2.0]])
+    return dict(zip(rng.sample(keys, min(len(items), len(keys))), items))
+
+
+def test_json_writer_matches_json_dumps_on_nested_payloads(capsys):
+    rng = random.Random(17)
+    payloads = [{}, [], (), {"a": []}, {"a": {}}, [True, 1, 1.0, None],
+                (1, True), {"x": ("a", ["b", ()])}]
+    payloads += [_payload(rng, 5) for _ in range(300)]
+    for payload in payloads:
+        cli._emit_json(payload)
+        assert capsys.readouterr().out == json.dumps(
+            payload, sort_keys=True, indent=2) + "\n"

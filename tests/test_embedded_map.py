@@ -117,6 +117,13 @@ def test_make_map_loop_needs_selector():
     assert make_map(edges, {"u": [("a", 0), ("a", 1), ("b", 0)], "v": ["b"]}) == m
 
 
+def test_make_map_reads_a_tuple_token_as_name_and_end():
+    # ("a", 0) is end 0 of edge "a", even beside an edge named ("a", 0)
+    edges = [("a", ("u", "v")), (("a", 0), ("u", "v"))]
+    m = make_map(edges, {"u": [("a", 0), (("a", 0), 0)], "v": ["a", (("a", 0), 1)]})
+    assert (m.rotation_at("u"), m.rotation_at("v")) == ((0, 2), (1, 3))
+
+
 def test_make_map_bad_selector():
     edges = [("a", ("u", "u")), ("b", ("u", "v"))]
     with pytest.raises(MapStructureError, match="bad end selector"):

@@ -76,6 +76,8 @@ def test_orientation_marker_validated():
     ("order \u00b2\n", 1, "order needs one positive integer"),
     ("order \u0661\n", 1, "order needs one positive integer"),
     ("order 2\nedge a v1\n", 2, "edge needs"),
+    ("order 2\nedge a v1 v-2\n", 2, "bad vertex name 'v-2'"),
+    ("order 1\nedge a v1 v1\nrot v-1 a.0 a.1\n", 3, "bad vertex name 'v-1'"),
     ("order 2\nedge a v1 v2\nedge a v1 v2\n", 3, "duplicate edge"),
     ("order 1\nedge a v1 v1\nrot v1\n", 3, "at least one token"),
     (N2_DOC + "rot v1 a b c d\n", 8, "duplicate rotation"),
@@ -92,7 +94,7 @@ def test_orientation_marker_validated():
     ("order 2\nedge a v1 v2\nedge b v1 v3\nrot v1 a b\nrot v2 a b\n", 5,
      "not incident"),
     ("order 2\nedge a w w\nedge b w x\nrot w a.0 a.0 b\nrot x b\n", 4,
-     "listed twice"),
+     "dart of edge 'a' listed twice"),
     ("order 2\nedge a v1 v2\nedge b v1 v2\nedge c v1 v2\nrot v1 a b\n"
      "rot v2 a b\n", 4, "appears in 0 rotation position"),
     ("order 2\nedge a v1 v2\nedge b v1 v3\nrot v1 a b\nrot v3 a b\n", 5,

@@ -201,14 +201,19 @@ def test_equal_outcomes_share_one_report():
 
 
 def test_shared_witness_keeps_its_edge_type():
-    """Maps equal but for the repeated edge's name, 1 or True, which compare
-    and hash equal, each get a witness naming their own edge."""
+    """Maps equal but for the repeated edge's name, whose type differs at some
+    depth from an equal name's (1 or True, ("a", 1) or ("a", True)), each get
+    a witness naming their own edge, in either order."""
     def efail(name):
+        # a tuple name would read as a (name, end) token, so it takes one
+        end0, end1 = ((name, 0), (name, 1)) if isinstance(name, tuple) else (name, name)
         return make_map([(name, ("v1", "v2")), ("b", ("v1", "v2")),
                          ("c", ("v1", "v2")), ("d", ("v1", "v2"))],
-                        {"v1": [name, "b", "c", "d"], "v2": [name, "c", "b", "d"]})
-    for names in ((1, True), (True, 1)):
-        for name in names:
+                        {"v1": [end0, "b", "c", "d"], "v2": [end1, "c", "b", "d"]})
+    pairs = [(1, True), (("a", 1), ("a", True)), (("a", (1,)), ("a", (True,))),
+             (("a", (1.0, "x")), ("a", (1, "x")))]
+    for pair in pairs + [pair[::-1] for pair in pairs]:
+        for name in pair:
             edge = is_newton(efail(name), 2).e_property.witness.repeated_edge
             assert type(edge) is type(name)
             assert repr(edge) == repr(name)
