@@ -18,10 +18,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 from operator import eq, ne
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 class MapStructureError(ValueError):
@@ -113,10 +113,11 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
 
     edges: ordered (name, (u, v)) pairs; edge k receives darts 2k (at u)
     and 2k+1 (at v).  rotations: vertex -> anti-clockwise list of tokens,
-    each an edge name or a (name, end) pair; the explicit end is required
-    on a loop and allowed on any edge.  This is the one place where tokens
-    are resolved to darts: a MapStructureError names in its vertex or edge
-    attribute the rotation or edge declaration at fault.
+    each an edge name or a (name, end) pair with end the int 0 or 1; the
+    explicit end is required on a loop and allowed on any edge.  This is
+    the one place where tokens are resolved to darts: a MapStructureError
+    names in its vertex or edge attribute the rotation or edge declaration
+    at fault.
     """
     ends = {}
     for name, (u, v) in edges:
@@ -163,16 +164,20 @@ def _resolve(tok, vertex, ends: dict, index: dict) -> int:
     """The dart of a (name, end) token in the rotation at vertex, or the fault
     that forbids tok; a plain name here is one, since make_map's table holds
     each edge's name at both its ends."""
-    name, end = tok if isinstance(tok, tuple) else (tok, None)
+    pair = isinstance(tok, tuple)
+    if pair and len(tok) != 2:
+        raise _fault(f"token {tok!r} at vertex {vertex!r} is not a "
+                     "(name, end) pair", vertex)
+    name, end = tok if pair else (tok, None)
     if name not in index:
         raise _fault(f"unknown edge {name!r} at vertex {vertex!r}", vertex)
     u, v = ends[name]
-    if end is None:
+    if not pair:
         if u == v:
             raise _fault(f"loop {name!r} needs an end selector in the "
                          f"rotation at {vertex!r}", vertex)
         raise _fault(f"edge {name!r} is not incident to vertex {vertex!r}", vertex)
-    elif end not in (0, 1):
+    elif type(end) is not int or end not in (0, 1):
         raise _fault(f"bad end selector {end!r} for edge {name!r}", vertex)
     elif (u, v)[end] != vertex:
         raise _fault(f"edge {name!r} end {end} belongs to vertex "
@@ -216,11 +221,15 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
         return ValidationReport(False, (Defect(
             "length-mismatch", "sigma/dart_origin/edge lengths disagree"),))
 
-    frame = _frame(m.vertices, origin)
+    degree, vset = Counter(origin), set(m.vertices)
     defects: list[Defect] = []
     if sorted(sigma) != list(range(n)):
         defects.append(Defect("sigma-not-permutation", "sigma is not a permutation"))
-    defects += frame.defects
+    if len(vset) != len(m.vertices):
+        defects.append(Defect("duplicate-vertex", "vertex listed twice"))
+    if not degree.keys() <= vset:
+        defects.append(Defect("origin-out-of-range",
+                              "dart origin is not a listed vertex"))
     if defects:
         return ValidationReport(False, tuple(defects))
 
@@ -228,11 +237,11 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
     if mixes:
         defects.append(Defect("sigma-mixes-vertices",
                               "a sigma cycle crosses between vertices"))
-    for i in frame.isolated:
-        defects.append(Defect("isolated-vertex",
-                              f"vertex {m.vertices[i]!r} has no darts"))
+    for v in m.vertices:
+        if v not in degree:
+            defects.append(Defect("isolated-vertex", f"vertex {v!r} has no darts"))
     cycle_of, cycles = m._sigma_cycles
-    if not mixes and len(cycles) != frame.n_origins:
+    if not mixes and len(cycles) != len(degree):
         defects.append(Defect("split-vertex",
                               "a vertex's darts form more than one sigma cycle"))
     # the surface is connected iff <sigma, alpha> is transitive: alpha
@@ -251,44 +260,17 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
 
     ok = not defects
 
-    if frame.first_loop is not None:
-        defects.append(Defect("loop-present", f"edge {m.edges[frame.first_loop]!r} "
-                              "is a loop", advisory=True))
-    if frame.min_degree == 1:
+    loop = next(compress(range(len(m.edges)), map(eq, origin[0::2], origin[1::2])), None)
+    if loop is not None:
+        defects.append(Defect("loop-present", f"edge {m.edges[loop]!r} is a loop",
+                              advisory=True))
+    if 1 in degree.values():
         defects.append(Defect("degree-one-vertex",
                               "a vertex has degree 1", advisory=True))
     return ValidationReport(ok, tuple(defects)) if defects else _VALID
 
 
 _VALID = ValidationReport(True, ())
-
-
-class _Frame(NamedTuple):
-    """What vertices and dart origins alone decide.  Vertices and edges
-    are held by index, not id: equal frames may hold 1 and True."""
-    defects: tuple[Defect, ...]  # duplicate or out-of-range vertices
-    isolated: tuple[int, ...]
-    n_origins: int
-    first_loop: Optional[int]    # index of the first loop edge
-    min_degree: int
-    max_degree: int
-
-
-@lru_cache(maxsize=1)  # the candidates of a multiplicity vector share one
-def _frame(vertices: tuple, origin: tuple) -> _Frame:
-    degree = Counter(origin)
-    vset = set(vertices)
-    defects = []
-    if len(vset) != len(vertices):
-        defects.append(Defect("duplicate-vertex", "vertex listed twice"))
-    if not degree.keys() <= vset:
-        defects.append(Defect("origin-out-of-range",
-                              "dart origin is not a listed vertex"))
-    loops = map(eq, origin[0::2], origin[1::2])
-    return _Frame(tuple(defects),
-                  tuple([i for i, v in enumerate(vertices) if v not in degree]),
-                  len(degree), next(compress(range(len(origin)), loops), None),
-                  min(degree.values()), max(degree.values()))
 
 
 def _checked(m: EmbeddedMap) -> EmbeddedMap:

@@ -16,13 +16,14 @@ shares one report per distinct outcome and caches nothing on the map.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import eq
 from typing import Optional
 
-from .embedded_map import EmbeddedMap, _frame, validate
+from .embedded_map import EmbeddedMap, validate
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,11 @@ class NewtonReport:
 
 @lru_cache(maxsize=1024, typed=True)
 def _report(order: int, connected: bool, toroidal: bool, loopless: bool,
-            f: Optional[int], edge: object, bounds: bool, edge_types=None) -> NewtonReport:
+            f: Optional[int], edge: object, bounds: bool) -> NewtonReport:
     """One outcome's report, built once and shared (reports are frozen).  f is
-    the first face repeating an edge, or None; typed keys keep True apart from 1,
-    and edge_types, the _types of a name that is not a str, keeps ("a", True)
-    apart from ("a", 1)."""
+    the first face repeating an edge, or None, and edge is that edge's name.
+    Only a None or str edge may come through the cache; any other name takes
+    the uncached _report.__wrapped__, since == may equal names of other types."""
     e_rep = EPropertyReport(connected and f is None,
                             None if f is None else EWitness(f, edge))
     newton = toroidal and loopless and e_rep.holds
@@ -77,18 +78,21 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     """The Newton verdict: toroidal, loopless and E-property.
 
     Faces are phi-cycles, numbered by least dart, and a face's degree is
-    its length; looplessness and vertex degrees come from validation's
-    frame facts.  The E-property holds when every edge's two darts lie on
-    different faces; else the witness is the first face holding both, with
-    the first dart, on its walk from its least dart, whose partner is on it.
+    its length; looplessness and degree-one vertices are read from the
+    validation report's advisories.  The E-property holds when every edge's
+    two darts lie on different faces; else the witness is the first face
+    holding both, with the first dart, on its walk from its least dart,
+    whose partner is on it.
     The degree bounds (vertex and face degrees in (1, 2r], and 4r darts)
     are reported but do not gate the verdict, since the other conditions
     imply them: no loops keeps vertex degrees at most 2r and faces longer
     than 1; the E-property keeps faces at most 2r long and rules out a
     pendant edge, which would run twice through one face; and both sums
-    count 4r darts.  Equal outcomes share one report; the map caches nothing.
+    count 4r darts.  So only a looped map counts its vertex degrees.  Equal
+    outcomes share one report; the map caches nothing.
     """
-    if not validate(m).ok:
+    report = validate(m)
+    if not report.ok:
         return _report(order, False, False, False, None, None, False)
     # label each dart's face, reading phi(d) = sigma(d ^ 1) inline, and count
     # face lengths; _cycles lists the cycles that validation, facial_walks and
@@ -103,7 +107,7 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     # r vertices, 2r edges and r faces force characteristic 0
     toroidal = (len(m.vertices), len(m.edges), len(sizes)) == (order, 2 * order, order)
     even, odd = face[0::2], face[1::2]
-    f = edge = edge_types = None
+    f = edge = None
     if any(map(eq, even, odd)):
         f = min(compress(even, map(eq, even, odd)))
         d = face.index(f)
@@ -112,15 +116,11 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
                 break
             d = sigma[d ^ 1]
         edge = m.edges[d // 2]
-        if not isinstance(edge, str):
-            edge_types = _types(edge)
-    frame = _frame(m.vertices, m.dart_origin)
-    degrees = (frame.min_degree, frame.max_degree, *sizes)
-    bounds = len(sigma) == 4 * order and 1 < min(degrees) and max(degrees) <= 2 * order
-    return _report(order, True, toroidal, frame.first_loop is None, f, edge, bounds,
-                   edge_types)
-
-
-def _types(name) -> object:
-    """name's type, with each tuple item's at every depth: what == ignores."""
-    return (type(name), tuple(map(_types, name))) if isinstance(name, tuple) else type(name)
+    # a valid map's defects are advisories: a loop, a degree-one vertex
+    codes = [d.code for d in report.defects]
+    loopless = "loop-present" not in codes
+    bounds = (len(sigma) == 4 * order and "degree-one-vertex" not in codes
+              and 1 < min(sizes) and max(sizes) <= 2 * order
+              and (loopless or max(Counter(m.dart_origin).values()) <= 2 * order))
+    build = _report if edge is None or type(edge) is str else _report.__wrapped__
+    return build(order, True, toroidal, loopless, f, edge, bounds)

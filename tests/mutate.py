@@ -77,9 +77,6 @@ EQUIVALENT = {
     ("enumeration", "rotations = [[tuple(zip(c, c[1:] + c[:1])) for c in cs] "
      "for cs in cycles]", "1 -> 2", 1):
         "zip stops at the shorter list, c[1:] + c[:1] or c[1:] + c[:2]",
-    ("embedded_map", "@lru_cache(maxsize=1)  # the candidates of a multiplicity "
-     "vector share one", "1 -> 2", 0):
-        "the cache size changes only speed",
 }
 
 

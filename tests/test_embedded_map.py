@@ -130,6 +130,12 @@ def test_make_map_bad_selector():
         make_map(edges, {"u": [("a", 2), ("a", 1), "b"], "v": ["b"]})
     with pytest.raises(MapStructureError, match="not incident"):
         make_map(edges, {"u": [("a", 0), ("a", 1)], "v": [("b", 0)]})
+    # a tuple token is (name, end) with end the int 0 or 1
+    bad = r"bad end selector|not a \(name, end\) pair"
+    for tok in [("a", 1.0), ("a", None), ("a", True), ("a", 0, 1), ("a",), ()]:
+        with pytest.raises(MapStructureError, match=bad) as exc:
+            make_map(edges, {"u": [("a", 0), tok, "b"], "v": ["b"]})
+        assert exc.value.vertex == "u"
 
 
 def test_make_map_not_incident():
@@ -269,9 +275,10 @@ def test_validate_matches_reference(n2):
 
 
 def test_frame_facts_are_never_stale(n2):
-    """Validation keeps the facts of the last frame (vertices and dart
-    origins); maps that share sigma but not their frame, validated in
-    turn, each get their own defects and messages."""
+    """Maps that share sigma but not their vertices or dart origins,
+    validated in turn, each get their own defects and messages, with 1,
+    True and 1.0 kept apart, and is_newton reads each map's own loop and
+    degree facts from its report."""
     loops = build_loop_map()
     moved = n2.dart_origin[:1] + ("v2",) + n2.dart_origin[2:]
     swapped = tuple(n2.dart_origin[d ^ 1] for d in range(n2.n_darts))

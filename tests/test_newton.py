@@ -93,6 +93,16 @@ def test_degree_bounds(n2, case1):
     # against the wrong order the caps and sums cannot both work out
     assert not is_newton(n2, 1).degree_bounds
     assert not is_newton(case1, 2).degree_bounds
+    # a looped map's vertex degrees are counted: u has degree 6 > 4 in the
+    # first, and both vertices have degree 4 in the second
+    docs = {("edge a u u\nedge b u u\nedge c u v\nedge d u v\n"
+             "rot u a.0 b.0 c a.1 b.1 d\nrot v c d\n"): False,
+            ("edge a u u\nedge b v v\nedge c u v\nedge d u v\n"
+             "rot u a.0 c a.1 d\nrot v b.0 c b.1 d\n"): True}
+    for doc, bounds in docs.items():
+        rep = is_newton(parse("order 2\n" + doc), 2)
+        assert not rep.loopless and rep.degree_bounds == bounds
+        assert _report_fields(rep) == newton_reference("order 2\n" + doc, 2)
 
 
 def _report_fields(rep) -> dict:
