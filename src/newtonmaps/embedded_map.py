@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import compress
 from operator import eq, ne
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class MapStructureError(ValueError):
@@ -68,8 +68,18 @@ class EmbeddedMap:
     def _report(self) -> ValidationReport:
         return _structure_report(self)
 
-    def _share_report(self, report: Optional[ValidationReport]) -> ValidationReport:
-        return vars(self).setdefault("_report", report or self._report)
+    def _siblings(self, sigmas: Iterable[tuple[int, ...]]) -> Iterator[EmbeddedMap]:
+        """A map per sigma on this map's frame, sharing its validation report:
+        each sigma is one cycle per vertex over its darts, so a permutation that
+        mixes no vertices, transitive with alpha iff the multigraph is connected,
+        and the frame decides validation.  Fields fill the dict in field order."""
+        frame = {f.name: getattr(self, f.name) for f in fields(self)}
+        frame["_report"] = self._report
+        for sigma in sigmas:
+            m = object.__new__(EmbeddedMap)
+            frame["sigma"] = sigma
+            vars(m).update(frame)
+            yield m
 
     @cached_property
     def _faces(self) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
@@ -136,7 +146,10 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
     for vertex, tokens in rotations.items():
         darts = []
         for tok in tokens:
-            d = plain.get((tok, vertex))
+            try:
+                d = plain.get((tok, vertex))
+            except TypeError:
+                raise _fault(f"token {tok!r} at {vertex!r} is unhashable", vertex) from None
             if d is None:
                 d = _resolve(tok, vertex, ends, index)
             if origin[d] is not None:

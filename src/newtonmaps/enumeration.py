@@ -28,8 +28,9 @@ import warnings
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import (chain, combinations, combinations_with_replacement,
-                       permutations, product)
+                       permutations, product, repeat)
 from math import factorial, prod
+from operator import itemgetter
 from typing import (Iterator, Optional, Sequence, get_args, get_origin,
                     get_type_hints)
 
@@ -112,20 +113,17 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
     edges = tuple(_edge_label(k) for k in range(2 * order))
     origin = tuple(vertices[i] for i in ends)
     darts_at = [[d for d, i in enumerate(ends) if i == v] for v in range(order)]
-    # first dart of each rotation pinned; each rotation as its (dart, next) steps
+    # first dart of each rotation pinned; each rotation as its darts' next darts
     cycles = [[(d0,) + tail for tail in permutations(rest)] for d0, *rest in darts_at]
-    rotations = [[tuple(zip(c, c[1:] + c[:1])) for c in cs] for cs in cycles]
-    sigma, report = [0] * len(ends), None
-    for choice in product(*rotations):
-        for steps in choice:
-            for d, nxt in steps:
-                sigma[d] = nxt
-        m = EmbeddedMap(vertices, edges, tuple(sigma), origin)
-        # candidates share their frame, and each sigma is one cycle per vertex
-        # over its darts: a permutation, mixing no vertices, transitive with
-        # alpha iff the multigraph is connected; so the vector decides validation
-        report = m._share_report(report)
-        yield m
+    rotations = [[tuple(n for _, n in sorted(zip(c, c[1:] + c[:1]))) for c in cs]
+                 for cs in cycles]
+    # one rotation per vertex, joined, lists sigma over the darts vertex by vertex
+    by_vertex = list(chain.from_iterable(darts_at))
+    to_darts = itemgetter(*map(by_vertex.index, range(len(ends))))
+    sigmas = map(to_darts, map(sum, product(*rotations), repeat(())))
+    first = EmbeddedMap(vertices, edges, next(sigmas), origin)
+    yield first
+    yield from first._siblings(sigmas)
 
 
 def _scan_vector(args) -> set:

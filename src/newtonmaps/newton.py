@@ -94,22 +94,24 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     report = validate(m)
     if not report.ok:
         return _report(order, False, False, False, None, None, False)
-    # label each dart's face, reading phi(d) = sigma(d ^ 1) inline, and count
-    # face lengths; _cycles lists the cycles that validation, facial_walks and
-    # canon read, but this lists nothing and caches nothing: most maps are dropped
+    # label each dart's face and count face lengths, reading phi(d) = sigma(d ^ 1)
+    # inline; unlike _cycles this lists no walks and caches none: most maps are dropped
     sigma, face, sizes = m.sigma, [-1] * len(m.sigma), []
     for s in range(len(sigma)):
         if face[s] == -1:
             f, d, k = len(sizes), s, 0
             while face[d] == -1:
-                face[d], d, k = f, sigma[d ^ 1], k + 1
+                face[d] = f
+                d = sigma[d ^ 1]
+                k += 1
             sizes.append(k)
-    # r vertices, 2r edges and r faces force characteristic 0
-    toroidal = (len(m.vertices), len(m.edges), len(sizes)) == (order, 2 * order, order)
-    even, odd = face[0::2], face[1::2]
+    # r vertices, 4r darts (so 2r edges) and r faces force characteristic 0
+    toroidal = (len(m.vertices), len(sizes), len(sigma)) == (order, order, 4 * order)
+    even = face[0::2]
+    same = list(map(eq, even, face[1::2]))
     f = edge = None
-    if any(map(eq, even, odd)):
-        f = min(compress(even, map(eq, even, odd)))
+    if True in same:
+        f = min(compress(even, same))
         d = face.index(f)
         for _ in range(sizes[f]):
             if face[d ^ 1] == f:
@@ -117,7 +119,7 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
             d = sigma[d ^ 1]
         edge = m.edges[d // 2]
     # a valid map's defects are advisories: a loop, a degree-one vertex
-    codes = [d.code for d in report.defects]
+    codes = [d.code for d in report.defects] if report.defects else ()
     loopless = "loop-present" not in codes
     bounds = (len(sigma) == 4 * order and "degree-one-vertex" not in codes
               and 1 < min(sizes) and max(sizes) <= 2 * order

@@ -63,7 +63,6 @@ EQUIVALENT = {
     ("embedded_map", "phi = [0] * len(sigma)", "0 -> 1", 0): FILL,
     ("embedded_map", "inv = [0] * m.n_darts", "0 -> 1", 0): FILL,
     ("embedded_map", "sigma = [0] * n", "0 -> 1", 0): FILL,
-    ("enumeration", "sigma, report = [0] * len(ends), None", "0 -> 1", 0): FILL,
     ("canon", "dart = [0] * n  # trace dart -> map dart", "0 -> 1", 0): FILL,
     ("canon", "new_sigma = [0] * n", "0 -> 1", 0): FILL,
     ("canon", "MAX_DARTS = 256", "256 -> 257", 0):
@@ -74,8 +73,8 @@ EQUIVALENT = {
         "a valid map's characteristic is even",
     ("newton", "@lru_cache(maxsize=1024, typed=True)", "1024 -> 1025", 0):
         "the cache size changes only speed",
-    ("enumeration", "rotations = [[tuple(zip(c, c[1:] + c[:1])) for c in cs] "
-     "for cs in cycles]", "1 -> 2", 1):
+    ("enumeration", "rotations = [[tuple(n for _, n in sorted(zip(c, c[1:] + c[:1]))) "
+     "for c in cs]", "1 -> 2", 1):
         "zip stops at the shorter list, c[1:] + c[:1] or c[1:] + c[:2]",
 }
 

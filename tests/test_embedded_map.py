@@ -138,6 +138,18 @@ def test_make_map_bad_selector():
         assert exc.value.vertex == "u"
 
 
+def test_make_map_unhashable_token():
+    # a list or a set names no edge; the fault names the rotation holding it
+    edges = [("a", ("u", "v"))]
+    for tok in (["a"], {"a"}, ("a", [0])):
+        with pytest.raises(MapStructureError, match="is unhashable") as exc:
+            make_map(edges, {"u": [tok], "v": ["a"]})
+        assert (exc.value.vertex, exc.value.edge) == ("u", None)
+    with pytest.raises(MapStructureError, match="is unhashable") as exc:
+        make_map(edges, {"u": ["a"], "v": [{"a"}]})
+    assert exc.value.vertex == "v"
+
+
 def test_make_map_not_incident():
     with pytest.raises(MapStructureError, match="not incident"):
         make_map([("a", ("u", "v")), ("b", ("u", "v"))],

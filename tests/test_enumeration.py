@@ -12,8 +12,8 @@ import pytest
 from _oracle import brute_force_iso, orbit_class_counts
 from conftest import (FIXTURES, build_chiral, build_grid4, build_sphere_n2,
                       raw_candidates)
-from newtonmaps import (ClassificationMismatchError, SelfDuality, Stratum,
-                        UnsuitableMapError, UnsupportedOrderError,
+from newtonmaps import (ClassificationMismatchError, EmbeddedMap, SelfDuality,
+                        Stratum, UnsuitableMapError, UnsupportedOrderError,
                         atlas_from_jsonl, atlas_to_jsonl, canonical_key,
                         classify, dual, enumerate_newton, facial_walks,
                         is_newton, make_map, mirror, parse, report_to_json,
@@ -129,18 +129,29 @@ def test_vector_candidates_share_one_report():
     """The vector decides every structure check, so its candidates share
     one report, and it is each candidate's own: every candidate at orders
     2 and 3, the first five of each vector at order 4, whose 15
-    disconnected vectors report only that."""
+    disconnected vectors report only that.  At orders 2 and 3 each
+    candidate also equals, hashes and prints as the map the constructor
+    builds from its fields."""
     samples = [(o, mult, list(_vector_candidates(o, mult)))
                for o in (2, 3) for mult in _multiplicity_vectors(o, 2)]
     samples += [(4, mult, list(itertools.islice(_vector_candidates(4, mult), 5)))
                 for mult in _multiplicity_vectors(4, 2)]
     assert [sum(o == k for o, _, _ in samples) for k in (2, 3, 4)] == [1, 19, 735]
     assert sum(len(maps) for _, _, maps in samples) == 36 + 9432 + 5 * 735
+    fields = [f.name for f in dataclasses.fields(EmbeddedMap)]
     disconnected = []
     for order, mult, maps in samples:
         shared = validate(maps[0])
-        for m in maps:
+        for i, m in enumerate(maps):
             assert validate(m) is shared
+            if order < 4:
+                # a later candidate is built without the constructor, yet it
+                # is the constructor's map and holds its fields and report only
+                if i:
+                    assert list(vars(m)) == fields + ["_report"]
+                built = EmbeddedMap(m.vertices, m.edges, m.sigma, m.dart_origin)
+                assert m == built and type(m) is EmbeddedMap
+                assert hash(m) == hash(built) and repr(m) == repr(built)
             assert validate(m) == _structure_report(m)
         # no loops and no degree below 2: connectivity is the one check left
         assert shared.ok == _multigraph_connected(order, mult)
