@@ -12,6 +12,9 @@ Piperno 2014).  A root is dropped at its first trace entry above the
 best so far.  Two roots with equal traces give an automorphism, and
 darts in one orbit have equal traces, so only the least dart of each
 orbit found so far is tried as a root.  Neither changes the minimum.
+A search bound by a least trace stops at the first root that ties it:
+a trace fixes its map, so the bound is the searched map's least trace,
+and no earlier root reached it, so an unbounded search picks that root.
 `are_equivalent` searches b with a's trace as the bound: b's roots are
 dropped above a's key, and b's search finds the trace, root and
 chirality of an unbounded search exactly when b's key equals a's.
@@ -113,11 +116,11 @@ def _best_trace(sigma, bound: tuple[int, ...] = ()):
     """Least trace over all roots for a fixed chirality, as (trace, order).
 
     Roots are traced against the best trace so far, starting from bound;
-    (bound, None) means none reached it.  A root tying the bound becomes
-    the best root, so that a later tie pairs its visit order with the
-    best root's into an automorphism.  A union-find over darts keeps its
-    orbits by least dart, and a root whose orbit holds a smaller, earlier
-    tried dart is skipped.
+    (bound, None) means none reached it.  The first root tying bound is
+    returned: a trace fixes its map, so bound is this map's least trace,
+    and no earlier root reached it.  A later tie pairs its visit order
+    with the best root's into an automorphism; a union-find keeps those
+    orbits by least dart, and skips a root whose orbit has a smaller one.
     """
     orbit = list(range(len(sigma)))
     idx = [-1] * len(sigma)  # shared by every root's trace
@@ -128,7 +131,9 @@ def _best_trace(sigma, bound: tuple[int, ...] = ()):
         trace, order = _trace_from(sigma, root, best, idx)
         if trace is None:
             continue
-        if best_order is not None and trace == best:
+        if trace == best:
+            if best_order is None:  # a tie with bound: its minimum, so stop
+                return trace, order
             for d, e in zip(best_order, order):
                 while orbit[d] != d:
                     orbit[d] = d = orbit[orbit[d]]
@@ -172,12 +177,12 @@ def _extends(sigma, tau, target: int) -> bool:
 
 def _best_trace_sided(m: EmbeddedMap, allow_reflection: bool,
                       bound: tuple[int, ...] = ()):
-    """Returns (trace, order, mirrored) minimizing over permitted chiralities
-    against bound, with order None if no trace reached it; the mirror, bound
-    by the first chirality's result, wins if strictly smaller or alone."""
+    """(trace, order, mirrored), least over the permitted chiralities against
+    bound, order None if none reached it; the mirror, unsearched if the first
+    tied bound and else bound by its result, wins if strictly less or alone."""
     trace, order = _best_trace(m.sigma, bound)
     mirrored = False
-    if allow_reflection:
+    if allow_reflection and (order is None or trace != bound):
         trace2, order2 = _best_trace(mirror(m).sigma, trace)
         if order is None or trace2 < trace:
             trace, order, mirrored = trace2, order2, True

@@ -130,59 +130,66 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
     at fault.
     """
     ends = {}
-    for name, (u, v) in edges:
-        if name in ends:
-            raise _fault(f"duplicate edge name {name!r}", edge=name)
-        ends[name] = (u, v)
-    index = {name: k for k, name in enumerate(ends)}
-    plain = {}  # a plain token's dart by (name, vertex); (name, end) pairs and faults miss
-    for k, (name, (u, v)) in enumerate(ends.items()):
-        if u != v and not isinstance(name, tuple):
-            plain[name, u], plain[name, v] = 2 * k, 2 * k + 1
+    # (token, vertex) -> dart; a (name, end) pair's entry is ~dart, so that a
+    # hit by (name, True) or (name, 1.0), equal to (name, 1), is refused
+    table = {}
+    for k, (name, (u, v)) in enumerate(edges):
+        try:
+            if name in ends:
+                raise _fault(f"duplicate edge name {name!r}", edge=name)
+            ends[name] = (u, v)
+            if u != v and not isinstance(name, tuple):
+                table[name, u], table[name, v] = 2 * k, 2 * k + 1
+            else:  # a loop's or a tuple name's darts take (name, end) tokens only
+                table[(name, 0), u], table[(name, 1), v] = ~(2 * k), ~(2 * k + 1)
+        except TypeError:
+            raise _fault(f"edge declaration {(name, (u, v))!r} is unhashable",
+                         edge=name) from None
 
     n = 2 * len(ends)
-    sigma = [-1] * n
+    sigma = [-1] * n + [None]  # slot n keeps a rotation's first dart
     origin: list = [None] * n
     for vertex, tokens in rotations.items():
-        darts = []
+        last = n
         for tok in tokens:
             try:
-                d = plain.get((tok, vertex))
+                d = table.get((tok, vertex))
             except TypeError:
                 raise _fault(f"token {tok!r} at {vertex!r} is unhashable", vertex) from None
-            if d is None:
-                d = _resolve(tok, vertex, ends, index)
+            if d is None or d < 0 and type(tok[1]) is not int:
+                d = _resolve(tok, vertex, ends, table)
+            if d < 0:
+                d = ~d
             if origin[d] is not None:
                 name = tok[0] if isinstance(tok, tuple) else tok
                 raise _fault(f"dart of edge {name!r} listed twice "
                              f"(vertex {vertex!r})", vertex)
             origin[d] = vertex
-            darts.append(d)
-        for i, d in enumerate(darts):
-            sigma[d] = darts[(i + 1) % len(darts)]
-    for k, name in enumerate(ends):
-        placed = (origin[2 * k] is not None) + (origin[2 * k + 1] is not None)
-        if placed != 2:
-            raise _fault(f"a dart of edge {name!r} is never placed: it appears "
-                         f"in {placed} rotation position(s); need 2", edge=name)
-    return EmbeddedMap(
-        vertices=tuple(rotations.keys()),
-        edges=tuple(ends),
-        sigma=tuple(sigma),
-        dart_origin=tuple(origin),
-    )
+            sigma[last] = last = d
+        sigma[last] = sigma[n]
+    if None in origin:  # name the edge of the first dart in no rotation
+        d = origin.index(None)
+        name, placed = tuple(ends)[d // 2], int(origin[d ^ 1] is not None)
+        raise _fault(f"a dart of edge {name!r} is never placed: it appears "
+                     f"in {placed} rotation position(s); need 2", edge=name)
+    return EmbeddedMap(tuple(rotations), tuple(ends), tuple(sigma[:n]), tuple(origin))
 
 
-def _resolve(tok, vertex, ends: dict, index: dict) -> int:
-    """The dart of a (name, end) token in the rotation at vertex, or the fault
-    that forbids tok; a plain name here is one, since make_map's table holds
-    each edge's name at both its ends."""
+def _resolve(tok, vertex, ends: dict, table: dict) -> int:
+    """The entry of a token make_map's table lacks, or the fault that forbids
+    tok: at the first (name, end) pair it lacks, the table gets every edge's
+    pair entries, after which a miss is a fault, as is an end not an int."""
     pair = isinstance(tok, tuple)
+    if pair and len(tok) == 2 and type(tok[1]) is int:
+        for k, (name, (u, v)) in enumerate(ends.items()):
+            table[(name, 0), u], table[(name, 1), v] = ~(2 * k), ~(2 * k + 1)
+        if (tok, vertex) in table:
+            return table[tok, vertex]
     if pair and len(tok) != 2:
         raise _fault(f"token {tok!r} at vertex {vertex!r} is not a "
                      "(name, end) pair", vertex)
     name, end = tok if pair else (tok, None)
-    if name not in index:
+    if name not in ends:
         raise _fault(f"unknown edge {name!r} at vertex {vertex!r}", vertex)
     u, v = ends[name]
     if not pair:
@@ -190,13 +197,10 @@ def _resolve(tok, vertex, ends: dict, index: dict) -> int:
             raise _fault(f"loop {name!r} needs an end selector in the "
                          f"rotation at {vertex!r}", vertex)
         raise _fault(f"edge {name!r} is not incident to vertex {vertex!r}", vertex)
-    elif type(end) is not int or end not in (0, 1):
+    if type(end) is not int or end not in (0, 1):
         raise _fault(f"bad end selector {end!r} for edge {name!r}", vertex)
-    elif (u, v)[end] != vertex:
-        raise _fault(f"edge {name!r} end {end} belongs to vertex "
-                     f"{(u, v)[end]!r}, so it is not incident to "
-                     f"vertex {vertex!r}", vertex)
-    return 2 * index[name] + end
+    raise _fault(f"edge {name!r} end {end} belongs to vertex {(u, v)[end]!r}, "
+                 f"so it is not incident to vertex {vertex!r}", vertex)
 
 
 def _fault(message: str, vertex=None, edge=None) -> MapStructureError:

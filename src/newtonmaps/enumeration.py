@@ -28,7 +28,7 @@ import warnings
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import (chain, combinations, combinations_with_replacement,
-                       permutations, product, repeat)
+                       groupby, permutations, product, repeat)
 from math import factorial, prod
 from operator import itemgetter
 from typing import (Iterator, Optional, Sequence, get_args, get_origin,
@@ -112,13 +112,14 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
     vertices = tuple(f"v{i + 1}" for i in range(order))
     edges = tuple(_edge_label(k) for k in range(2 * order))
     origin = tuple(vertices[i] for i in ends)
-    darts_at = [[d for d, i in enumerate(ends) if i == v] for v in range(order)]
+    # darts vertex by vertex, in dart order at each; every vertex has darts
+    by_vertex = sorted(range(len(ends)), key=ends.__getitem__)
+    darts_at = [list(darts) for _, darts in groupby(by_vertex, ends.__getitem__)]
     # first dart of each rotation pinned; each rotation as its darts' next darts
     cycles = [[(d0,) + tail for tail in permutations(rest)] for d0, *rest in darts_at]
     rotations = [[tuple(n for _, n in sorted(zip(c, c[1:] + c[:1]))) for c in cs]
                  for cs in cycles]
     # one rotation per vertex, joined, lists sigma over the darts vertex by vertex
-    by_vertex = list(chain.from_iterable(darts_at))
     to_darts = itemgetter(*map(by_vertex.index, range(len(ends))))
     sigmas = map(to_darts, map(sum, product(*rotations), repeat(())))
     first = EmbeddedMap(vertices, edges, next(sigmas), origin)

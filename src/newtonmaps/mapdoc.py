@@ -52,24 +52,10 @@ def parse(text: str) -> EmbeddedMap:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if not fields or fields[0].startswith("#"):
+        if not fields:
             continue
         kind = fields[0]
-        if kind == "order":
-            if order is not None:
-                raise ParseError("duplicate order line", lineno)
-            # str.isdigit alone also accepts non-ASCII digits such as "²"
-            if (len(fields) != 2 or not fields[1].isascii()
-                    or not fields[1].isdigit() or int(fields[1]) < 1):
-                raise ParseError("order needs one positive integer", lineno)
-            order = int(fields[1])
-        elif kind == "orientation":
-            if len(fields) != 2 or fields[1] not in ("clockwise-faces",
-                                                     "anticlockwise-faces"):
-                raise ParseError("orientation must be clockwise-faces or "
-                                 "anticlockwise-faces", lineno)
-            orientation = fields[1]
-        elif kind == "edge":
+        if kind == "edge":
             if len(fields) != 4:
                 raise ParseError("edge needs: edge NAME U V", lineno)
             _, name, u, v = fields
@@ -92,7 +78,21 @@ def parse(text: str) -> EmbeddedMap:
                 raise ParseError(f"duplicate rotation for vertex {vertex!r}", lineno)
             rot_seen[vertex] = lineno
             rots.append((vertex, fields[2:], lineno))
-        else:
+        elif kind == "order":
+            if order is not None:
+                raise ParseError("duplicate order line", lineno)
+            # str.isdigit alone also accepts non-ASCII digits such as "²"
+            if (len(fields) != 2 or not fields[1].isascii()
+                    or not fields[1].isdigit() or int(fields[1]) < 1):
+                raise ParseError("order needs one positive integer", lineno)
+            order = int(fields[1])
+        elif kind == "orientation":
+            if len(fields) != 2 or fields[1] not in ("clockwise-faces",
+                                                     "anticlockwise-faces"):
+                raise ParseError("orientation must be clockwise-faces or "
+                                 "anticlockwise-faces", lineno)
+            orientation = fields[1]
+        elif not kind.startswith("#"):
             raise ParseError(f"unknown directive {kind!r}", lineno)
 
     if order is None:

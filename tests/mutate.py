@@ -58,7 +58,8 @@ _SYMBOL = {ast.Lt: "<", ast.GtE: ">=", ast.Gt: ">", ast.LtE: "<=",
 # sites of that operator on a line of that text.
 FILL = "a fill value: every slot is written before it is read"
 EQUIVALENT = {
-    ("embedded_map", "sigma = [-1] * n", "1 -> 2", 0): FILL,
+    ("embedded_map", "sigma = [-1] * n + [None]  # slot n keeps a rotation's first dart",
+     "1 -> 2", 0): FILL,
     ("embedded_map", "label = [-1] * len(perm)", "1 -> 2", 0): FILL,
     ("embedded_map", "phi = [0] * len(sigma)", "0 -> 1", 0): FILL,
     ("embedded_map", "inv = [0] * m.n_darts", "0 -> 1", 0): FILL,

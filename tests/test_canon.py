@@ -230,25 +230,63 @@ def test_key_search_matches_full_search():
             assert are_equivalent(m, relabel(m, rng), sense)
 
 
-def test_key_search_prunes_ties_on_symmetric_grid(monkeypatch):
-    # every root of a grid ties; pairing tied visit orders into
-    # automorphisms must leave only a few roots per chirality to trace,
-    # including in the mirror pass, whose first tie is with the bound
-    finished = []
+def _traced_roots(monkeypatch) -> list:
+    """Each root trace's sigma and visit order, None if aborted, in call order."""
+    traced = []
     real = canon._trace_from
 
-    def counting(*args):
-        trace, order = real(*args)
-        finished.append(trace is not None)
+    def recording(sigma, *args):
+        trace, order = real(sigma, *args)
+        traced.append((tuple(sigma), order))
         return trace, order
 
-    monkeypatch.setattr(canon, "_trace_from", counting)
-    grid = build_torus_grid(9, 9)
-    key = canonical_key(grid, True)
-    assert grid.n_darts == 324
-    assert sum(finished) <= 10
-    assert key.trace == full_search_sided(grid.sigma, True)[0]
+    monkeypatch.setattr(canon, "_trace_from", recording)
+    return traced
 
+
+def _finished(traced, sigma) -> int:
+    return sum(s == sigma and order is not None for s, order in traced)
+
+
+def test_key_search_prunes_ties_on_symmetric_grid(monkeypatch):
+    # every root of a square grid ties, and a tie pairs its visit order with
+    # the first root's into an automorphism: a root onto which the
+    # automorphisms found so far map the first root is never traced.  The
+    # mirror pass, whose first tie is with the bound, stops at that tie
+    traced = _traced_roots(monkeypatch)
+    for grid in (build_torus_grid(9, 9), build_torus_grid(5, 5)):
+        traced.clear()
+        key = canonical_key(grid, True)
+        assert key.trace == full_search_sided(grid.sigma, True)[0]
+        assert _finished(traced, mirror(grid).sigma) == 1
+        first, *ties = [order for s, order in traced if s == grid.sigma]
+        assert None not in ties
+        assert sum(order is not None for _, order in traced) <= 10
+        found = []  # automorphisms, each as a dart -> dart tuple
+        for order in ties:
+            orbit, reached = {first[0]}, [first[0]]
+            for d in reached:
+                for e in (g[d] for g in found):
+                    if e not in orbit:
+                        orbit.add(e)
+                        reached.append(e)
+            assert order[0] not in orbit
+            found.append(tuple(order[first.index(d)] for d in range(grid.n_darts)))
+
+
+def test_iso_searches_b_up_to_its_first_witness_root(monkeypatch):
+    # b ties a's key at its first finished root, in the first chirality, so
+    # its search ends there and mirror(b) is never searched
+    rng = random.Random(47)
+    traced = _traced_roots(monkeypatch)
+    for m in (build_torus_grid(4, 6), build_torus_grid(9, 9)):
+        for sense in (True, False):
+            b = relabel(m, rng)
+            traced.clear()
+            result = are_equivalent(m, b, sense)
+            assert (result.equivalent, result.reflected) == (True, False)
+            assert _finished(traced, b.sigma) == 1
+            assert mirror(b).sigma not in [s for s, _ in traced]
 
 
 def test_key_search_leaves_shared_array_unset(monkeypatch):
@@ -312,6 +350,9 @@ def test_bounded_iso_matches_unbounded_search():
         pairs += [(m, relabel(m, rng)), (m, mirror(relabel(m, rng)))]
     pairs += [(maps[0], maps[1]), (maps[2], relabel(maps[3], rng)),
               (maps[-2], maps[-1]), (maps[-1], mirror(maps[-2]))]
+    # larger inputs of 200 and 320 darts, the grid with 160 automorphisms
+    for m in (build_random_multigraph(random.Random(43), 100), build_torus_grid(8, 10)):
+        pairs += [(m, relabel(m, rng)), (m, mirror(relabel(m, rng)))]
     seen = set()
     for a, b in pairs:
         for sense in (True, False):

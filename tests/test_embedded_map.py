@@ -6,7 +6,7 @@ from operator import ne
 import pytest
 
 from conftest import (build_efail_n2, build_loop_map, build_sphere_n2,
-                      fixture_text)
+                      build_torus_grid, fixture_text)
 from newtonmaps import (EmbeddedMap, MapStructureError, abstract_p_graph,
                         are_equivalent, canonical_key, degree_sequence, dual,
                         embedded_map, euler_characteristic,
@@ -150,6 +150,43 @@ def test_make_map_unhashable_token():
     assert exc.value.vertex == "v"
 
 
+def test_make_map_unhashable_declaration():
+    # an edge name or endpoint that is a list or a set; the fault names the
+    # declaration, and a loop's endpoints are checked too
+    rotations = {"u": ["a"], "v": ["a"]}
+    for decl in ((["a"], ("u", "v")), ("a", (["u"], "v")), ("a", ("u", {"v"})),
+                 ("a", (["u"], ["u"]))):
+        with pytest.raises(MapStructureError, match="edge declaration .* is unhashable") as exc:
+            make_map([decl], rotations)
+        assert (exc.value.vertex, exc.value.edge) == (None, decl[0])
+
+
+def test_make_map_pair_tokens_resolve_from_the_table(monkeypatch):
+    # the first (name, end) pair on a non-loop edge fills the table with every
+    # edge's pairs, so no later pair token misses; a loop's or a tuple-named
+    # edge's pairs are in it from the start
+    calls = []
+    real = embedded_map._resolve
+    monkeypatch.setattr(embedded_map, "_resolve",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    edges = [("a", ("u", "v")), ("b", ("u", "v")), ("c", ("v", "w")), ("d", ("v", "w"))]
+    m = make_map(edges, {"u": [("a", 0), ("b", 0)], "v": [("a", 1), "b", ("c", 0), "d"],
+                         "w": [("c", 1), ("d", 1)]})
+    assert calls == [("a", 0)]
+    assert m == make_map(edges, {"u": ["a", "b"], "v": ["a", "b", "c", "d"],
+                                 "w": ["c", "d"]})
+    calls.clear()
+    refinement(build_torus_grid(3, 3))
+    make_map([("a", ("u", "u"))], {"u": [("a", 0), ("a", 1)]})
+    assert calls == []
+    # a hit by an end equal to 0 or 1 but not the int is still refused
+    for tok in (("b", True), ("b", 1.0), ("b", False)):
+        with pytest.raises(MapStructureError, match="bad end selector") as exc:
+            make_map(edges, {"u": [("a", 0), tok], "v": ["a", "b", "c", "d"],
+                             "w": ["c", "d"]})
+        assert exc.value.vertex == "u"
+
+
 def test_make_map_not_incident():
     with pytest.raises(MapStructureError, match="not incident"):
         make_map([("a", ("u", "v")), ("b", ("u", "v"))],
@@ -163,9 +200,15 @@ def test_make_map_dart_listed_twice():
 
 
 def test_make_map_missing_darts():
-    with pytest.raises(MapStructureError, match="never placed"):
-        make_map([("a", ("u", "v")), ("b", ("u", "v"))],
-                 {"u": ["a", "b"], "v": ["a"]})
+    # the first edge with a dart left out is named, with its darts' count
+    edges = [("a", ("u", "v")), ("b", ("u", "v")), ("c", ("u", "v"))]
+    for rotations, name, placed in (({"u": ["a", "b", "c"], "v": ["a", "c"]}, "b", 1),
+                                    ({"u": ["a", "c"], "v": ["a", "b", "c"]}, "b", 1),
+                                    ({"u": ["a"], "v": ["a", "c"]}, "b", 0)):
+        with pytest.raises(MapStructureError, match=f"edge '{name}' is never placed: "
+                           f"it appears in {placed} rotation") as exc:
+            make_map(edges, rotations)
+        assert (exc.value.vertex, exc.value.edge) == (None, name)
 
 
 def test_validate_ok(n2, case1, case3):
