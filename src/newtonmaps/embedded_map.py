@@ -157,7 +157,7 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
             except TypeError:
                 raise _fault(f"token {tok!r} at {vertex!r} is unhashable", vertex) from None
             if d is None or d < 0 and type(tok[1]) is not int:
-                d = _resolve(tok, vertex, ends, table)
+                d = _resolve(tok, vertex, ends)
             if d < 0:
                 d = ~d
             if origin[d] is not None:
@@ -175,16 +175,11 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
     return EmbeddedMap(tuple(rotations), tuple(ends), tuple(sigma[:n]), tuple(origin))
 
 
-def _resolve(tok, vertex, ends: dict, table: dict) -> int:
-    """The entry of a token make_map's table lacks, or the fault that forbids
-    tok: at the first (name, end) pair it lacks, the table gets every edge's
-    pair entries, after which a miss is a fault, as is an end not an int."""
+def _resolve(tok, vertex, ends: dict) -> int:
+    """The dart of a token make_map's table lacks, or the fault that forbids
+    tok; only a (name, end) pair on a plain non-loop edge has a dart here,
+    since the table holds every other token that names one."""
     pair = isinstance(tok, tuple)
-    if pair and len(tok) == 2 and type(tok[1]) is int:
-        for k, (name, (u, v)) in enumerate(ends.items()):
-            table[(name, 0), u], table[(name, 1), v] = ~(2 * k), ~(2 * k + 1)
-        if (tok, vertex) in table:
-            return table[tok, vertex]
     if pair and len(tok) != 2:
         raise _fault(f"token {tok!r} at vertex {vertex!r} is not a "
                      "(name, end) pair", vertex)
@@ -199,6 +194,8 @@ def _resolve(tok, vertex, ends: dict, table: dict) -> int:
         raise _fault(f"edge {name!r} is not incident to vertex {vertex!r}", vertex)
     if type(end) is not int or end not in (0, 1):
         raise _fault(f"bad end selector {end!r} for edge {name!r}", vertex)
+    if (u, v)[end] == vertex:
+        return 2 * list(ends).index(name) + end
     raise _fault(f"edge {name!r} end {end} belongs to vertex {(u, v)[end]!r}, "
                  f"so it is not incident to vertex {vertex!r}", vertex)
 

@@ -6,7 +6,7 @@ from operator import ne
 import pytest
 
 from conftest import (build_efail_n2, build_loop_map, build_sphere_n2,
-                      build_torus_grid, fixture_text)
+                      fixture_text)
 from newtonmaps import (EmbeddedMap, MapStructureError, abstract_p_graph,
                         are_equivalent, canonical_key, degree_sequence, dual,
                         embedded_map, euler_characteristic,
@@ -161,30 +161,35 @@ def test_make_map_unhashable_declaration():
         assert (exc.value.vertex, exc.value.edge) == (None, decl[0])
 
 
-def test_make_map_pair_tokens_resolve_from_the_table(monkeypatch):
-    # the first (name, end) pair on a non-loop edge fills the table with every
-    # edge's pairs, so no later pair token misses; a loop's or a tuple-named
-    # edge's pairs are in it from the start
-    calls = []
-    real = embedded_map._resolve
-    monkeypatch.setattr(embedded_map, "_resolve",
-                        lambda *args: calls.append(args[0]) or real(*args))
+def test_make_map_pair_tokens_on_any_edge():
+    # a (name, end) pair names the same dart as the edge's name at that end,
+    # whether or not the edge is a loop or tuple-named
     edges = [("a", ("u", "v")), ("b", ("u", "v")), ("c", ("v", "w")), ("d", ("v", "w"))]
     m = make_map(edges, {"u": [("a", 0), ("b", 0)], "v": [("a", 1), "b", ("c", 0), "d"],
                          "w": [("c", 1), ("d", 1)]})
-    assert calls == [("a", 0)]
     assert m == make_map(edges, {"u": ["a", "b"], "v": ["a", "b", "c", "d"],
                                  "w": ["c", "d"]})
-    calls.clear()
-    refinement(build_torus_grid(3, 3))
-    make_map([("a", ("u", "u"))], {"u": [("a", 0), ("a", 1)]})
-    assert calls == []
-    # a hit by an end equal to 0 or 1 but not the int is still refused
+    loop = make_map([("a", ("u", "u"))], {"u": [("a", 1), ("a", 0)]})
+    assert loop.sigma == (1, 0) and loop.dart_origin == ("u", "u")
+    tuple_named = make_map([(("x", 1), ("u", "v")), (("x", 2), ("u", "v"))],
+                           {"u": [(("x", 1), 0), (("x", 2), 0)],
+                            "v": [(("x", 2), 1), (("x", 1), 1)]})
+    assert tuple_named.sigma == (2, 3, 0, 1)
+    # a pair at the other end's vertex is refused, on any edge
+    for eds, rot in ((edges, {"u": [("a", 1), "b"], "v": ["a", "b", "c", "d"],
+                              "w": ["c", "d"]}),
+                     ([(("x", 1), ("u", "v"))], {"u": [(("x", 1), 1)], "v": [(("x", 1), 0)]})):
+        with pytest.raises(MapStructureError, match="belongs to vertex 'v'") as exc:
+            make_map(eds, rot)
+        assert exc.value.vertex == "u"
+    # an end equal to 0 or 1 but not the int is refused, on a loop's table hit too
     for tok in (("b", True), ("b", 1.0), ("b", False)):
         with pytest.raises(MapStructureError, match="bad end selector") as exc:
             make_map(edges, {"u": [("a", 0), tok], "v": ["a", "b", "c", "d"],
                              "w": ["c", "d"]})
         assert exc.value.vertex == "u"
+    with pytest.raises(MapStructureError, match="bad end selector"):
+        make_map([("a", ("u", "u"))], {"u": [("a", True), ("a", 0)]})
 
 
 def test_make_map_not_incident():
