@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import eq
 
-from .embedded_map import EmbeddedMap, MapStructureError, _checked, _phi, make_map
+from .embedded_map import EmbeddedMap, MapStructureError, _checked, _phi
 
 
 def dual(m: EmbeddedMap) -> EmbeddedMap:
@@ -45,33 +45,32 @@ def refinement(m: EmbeddedMap) -> EmbeddedMap:
     level: ("v", vertex) at level 1, ("s", e) at level 2 for the point
     where edge e crosses its dual edge, and ("f", i) at level 3 for face i.
 
-    Each dart d contributes a primal half-edge ("h", d) from d's origin to
-    the crossing on d's edge, and a dual half-edge ("g", d) from that
-    crossing to the face on the right of d.  Rotations: the level-2
-    rotation at a crossing interleaves the four halves anti-clockwise as
-    (h d, g d, h alpha d, g alpha d); level 3 inherits the reversed facial
-    walk, which is the dual's anti-clockwise rotation.  For an order-r
-    toroidal map with r faces this yields 4r vertices, 8r edges and 4r
-    quadrilateral faces, one per corner of the base map.
+    Each of the n darts d contributes a primal half-edge ("h", d), edge d,
+    from d's origin to the crossing on d's edge, and a dual half-edge
+    ("g", d), edge n + d, from that crossing to the face on the right of d.
+    Rotations: level 1 keeps the base rotation, the crossing interleaves
+    the four halves anti-clockwise as (h d, g d, h alpha d, g alpha d), and
+    level 3 takes the reversed facial walk, the dual's anti-clockwise
+    rotation.  For an order-r toroidal map with r faces this yields 4r
+    vertices, 8r edges and 4r quadrilateral faces, one per corner of m.
     """
     face, walks = _require_no_repeated_edge(m)
-
-    edge_decls = [(("h", d), (("v", m.dart_origin[d]), ("s", m.edge_of(d))))
-                  for d in range(m.n_darts)]
-    edge_decls += [(("g", d), (("s", m.edge_of(d)), ("f", face[d] + 1)))
-                   for d in range(m.n_darts)]
-
-    rotations = {}
-    for v in m.vertices:
-        rotations[("v", v)] = [(("h", d), 0) for d in m.rotation_at(v)]
-    for k, e in enumerate(m.edges):
-        d0, d1 = 2 * k, 2 * k + 1
-        rotations[("s", e)] = [(("h", d0), 1), (("g", d0), 0),
-                               (("h", d1), 1), (("g", d1), 0)]
-    for i, w in enumerate(walks):
-        rotations[("f", i + 1)] = [(("g", d), 1) for d in reversed(w)]
-
-    return make_map(edge_decls, rotations)
+    if len(set(m.edges)) < len(m.edges):  # a crossing is named by its edge
+        raise MapStructureError("refinement needs distinct edge names")
+    n = m.n_darts
+    sigma = [0] * (4 * n)
+    for d, s in enumerate(m.sigma):
+        sigma[2 * d], sigma[2 * d + 1] = 2 * s, 2 * (n + d)
+        sigma[2 * (n + d)] = 2 * (d ^ 1) + 1
+        # s follows d ^ 1 on its facial walk, which the face's rotation reverses
+        sigma[2 * (n + s) + 1] = 2 * (n + (d ^ 1)) + 1
+    vs = {v: ("v", v) for v in m.vertices}
+    ss = [("s", e) for e in m.edges]
+    fs = [("f", i + 1) for i in range(len(walks))]
+    origin = [x for d in range(n) for x in (vs[m.dart_origin[d]], ss[d // 2])]
+    origin += [x for d in range(n) for x in (ss[d // 2], fs[face[d]])]
+    edges = tuple((tag, d) for tag in "hg" for d in range(n))
+    return EmbeddedMap((*vs.values(), *ss, *fs), edges, tuple(sigma), tuple(origin))
 
 
 @dataclass(frozen=True)

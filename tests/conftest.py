@@ -1,9 +1,12 @@
+import io
 import pathlib
 import random
+from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from newtonmaps import canonical_key, enumerate_newton, make_map, parse
+from newtonmaps import canonical_key, cli, enumerate_newton, make_map, parse
 from newtonmaps.canon import _map_from_trace
 from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 
@@ -13,6 +16,22 @@ FIXTURES = ROOT / "fixtures"
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+CliRun = namedtuple("CliRun", "code stdout stderr")
+
+
+def run_cli(*argv: str) -> CliRun:
+    """cli.main(argv) in this process, with its exit code and captured
+    output; argparse's SystemExit (usage errors, --version) becomes its
+    code, and any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="session")

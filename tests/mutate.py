@@ -66,6 +66,7 @@ EQUIVALENT = {
     ("embedded_map", "sigma = [0] * n", "0 -> 1", 0): FILL,
     ("canon", "dart = [0] * n  # trace dart -> map dart", "0 -> 1", 0): FILL,
     ("canon", "new_sigma = [0] * n", "0 -> 1", 0): FILL,
+    ("duality", "sigma = [0] * (4 * n)", "0 -> 1", 0): FILL,
     ("canon", "MAX_DARTS = 256", "256 -> 257", 0):
         "dart counts are even, so no map has 257 darts",
     ("canon", "_require_text_width(max(self.trace, default=-1) + 1)", "1 -> 2", 0):

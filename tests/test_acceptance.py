@@ -14,12 +14,10 @@ brute-force orientation-preserving isomorphism and counts the parts.
 """
 
 import random
-import subprocess
-import sys
 import time
 
 from _oracle import brute_force_iso
-from conftest import FIXTURES, ROOT, fixture_text
+from conftest import FIXTURES, fixture_text, run_cli
 from newtonmaps import (are_equivalent, canonical_key, classify, dual,
                         enumerate_newton, facial_walks, is_newton, mirror,
                         parse, refinement, relabel)
@@ -244,11 +242,8 @@ def test_acceptance_7_parallel_determinism(tmp_path):
     outs = []
     for jobs, sub in (("1", "j1"), ("2", "j2")):
         d = tmp_path / sub
-        r = subprocess.run(
-            [sys.executable, "-m", "newtonmaps", "classify", "--order", "3",
-             "--jobs", jobs, "--out", str(d)],
-            capture_output=True, text=True, cwd=ROOT)
-        assert r.returncode == 0
+        assert run_cli("classify", "--order", "3", "--jobs", jobs,
+                       "--out", str(d)).code == 0
         outs.append((d / "atlas_order3.jsonl").read_bytes())
     same = outs[0] == outs[1]
     golden = outs[0] == (FIXTURES / "atlas_order3.jsonl").read_bytes()

@@ -1,7 +1,5 @@
 """Command-line behavior, exit codes, and golden output files."""
 
-import contextlib
-import io
 import json
 import os
 import random
@@ -11,7 +9,7 @@ import sys
 import pytest
 
 from conftest import (FIXTURES, ROOT, build_chiral, build_efail_n2,
-                      build_grid4, build_sphere_n2, canonical_form)
+                      build_grid4, build_sphere_n2, canonical_form, run_cli)
 from newtonmaps import (atlas_to_jsonl, canon, canonical_key, cli, dual,
                         embedded_map, make_map, mirror, parse, relabel,
                         serialize)
@@ -22,12 +20,6 @@ from test_duality import CASE1_DUAL_DOC
 N2 = str(FIXTURES / "n2.map")
 CASE1 = str(FIXTURES / "case1.map")
 CASE3 = str(FIXTURES / "case3.map")
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "newtonmaps", *args],
-        capture_output=True, text=True, cwd=ROOT)
 
 
 @pytest.fixture(scope="session")
@@ -51,26 +43,32 @@ def docs(tmp_path_factory):
 
 
 def test_version():
-    r = run_cli("--version")
-    assert r.returncode == 0
-    assert r.stdout.strip() == "0.1.0"
+    assert run_cli("--version") == (0, "0.1.0\n", "")
+
+
+def test_module_entry_point_exit_codes():
+    # the one test of the process boundary: python -m newtonmaps hands
+    # main's code, or argparse's, to the shell
+    for code, args in ((0, ["--version"]), (1, ["iso", CASE1, CASE3]),
+                       (2, ["newton", N2]), (3, ["validate", "no-such.map"])):
+        r = subprocess.run([sys.executable, "-m", "newtonmaps", *args],
+                           capture_output=True, cwd=ROOT)
+        assert r.returncode == code, args
 
 
 def test_usage_errors():
-    assert run_cli().returncode == 2
-    assert run_cli("no-such-command").returncode == 2
-    assert run_cli("newton", N2).returncode == 2  # --order is required
+    assert run_cli().code == 2
+    assert run_cli("no-such-command").code == 2
+    assert run_cli("newton", N2).code == 2  # --order is required
 
 
 def test_validate_ok():
-    r = run_cli("validate", N2)
-    assert r.returncode == 0
-    assert r.stdout == "ok\n"
+    assert run_cli("validate", N2) == (0, "ok\n", "")
 
 
 def test_validate_reports_defects(docs):
     r = run_cli("validate", str(docs / "disc.map"))
-    assert r.returncode == 1
+    assert r.code == 1
     lines = r.stdout.splitlines()
     assert lines[0] == "invalid"
     assert any("disconnected" in ln for ln in lines)
@@ -78,7 +76,7 @@ def test_validate_reports_defects(docs):
 
 def test_validate_advisory_keeps_exit_zero(docs):
     r = run_cli("validate", str(docs / "loop.map"))
-    assert r.returncode == 0
+    assert r.code == 0
     assert "advisory: loop-present" in r.stdout
 
 
@@ -91,10 +89,10 @@ def test_validate_json(docs):
 
 def test_input_errors(docs):
     r = run_cli("validate", str(docs / "missing.map"))
-    assert r.returncode == 3
+    assert r.code == 3
     assert r.stderr.startswith("error:")
     r = run_cli("validate", str(docs / "bad.map"))
-    assert r.returncode == 3
+    assert r.code == 3
     assert "line 1" in r.stderr
 
 
@@ -104,29 +102,22 @@ def test_non_ascii_order_digit_is_an_input_error(tmp_path, digit):
     body = (FIXTURES / "n2.map").read_text().split("\n", 1)[1]
     path.write_text(f"order {digit}\n" + body, encoding="utf-8")
     r = run_cli("validate", str(path))
-    assert r.returncode == 3
+    assert r.code == 3
     assert "line 1: order needs one positive integer" in r.stderr
 
 
 def test_faces_text():
-    r = run_cli("faces", CASE1)
-    assert r.returncode == 0
-    assert r.stdout == (
+    assert run_cli("faces", CASE1) == (0, (
         "f1 (length 6): v1 a v2 b v3 c v1 d v2 e v3 f\n"
         "f2 (length 3): v2 a v1 c v3 e\n"
         "f3 (length 3): v3 b v2 d v1 f\n"
         "faces 3  chi 0  genus 1\n"
-    )
+    ), "")
 
 
 def test_faces_json():
     r = run_cli("faces", CASE1, "--format", "json")
     payload = json.loads(r.stdout)
-    assert payload["euler_characteristic"] == 0
-    assert payload["genus"] == 1
-    assert payload["face_degrees"] == [6, 3, 3]
-    assert payload["walks"][0]["face"] == "f1"
-    assert payload["walks"][0]["steps"][0] == ["v1", "a"]
     assert payload == {
         "euler_characteristic": 0,
         "genus": 1,
@@ -143,30 +134,27 @@ def test_faces_json():
     }
 
 
-def test_faces_traces_once(monkeypatch, capsys, case1):
+def test_faces_traces_once(monkeypatch, case1):
     passes = []
     real = embedded_map._cycles
     monkeypatch.setattr(embedded_map, "_cycles",
                         lambda perm: passes.append(tuple(perm)) or real(perm))
-    assert cli.main(["faces", CASE1, "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    r = run_cli("faces", CASE1, "--format", "json")
+    assert r.code == 0
+    payload = json.loads(r.stdout)
     assert (payload["euler_characteristic"], payload["genus"]) == (0, 1)
     # validation's sigma-cycles, then one pass over phi for the faces
     assert passes == [case1.sigma, tuple(embedded_map._phi(case1.sigma))]
 
 
 def test_faces_refuses_invalid_map(docs):
-    assert run_cli("faces", str(docs / "disc.map")).returncode == 3
+    assert run_cli("faces", str(docs / "disc.map")).code == 3
 
 
 def test_dual_stdout_and_file(tmp_path):
-    r = run_cli("dual", CASE1)
-    assert r.returncode == 0
-    assert r.stdout == CASE1_DUAL_DOC
+    assert run_cli("dual", CASE1) == (0, CASE1_DUAL_DOC, "")
     out = tmp_path / "dual.map"
-    r = run_cli("dual", CASE1, "--out", str(out))
-    assert r.returncode == 0
-    assert r.stdout == ""
+    assert run_cli("dual", CASE1, "--out", str(out)) == (0, "", "")
     assert out.read_text() == CASE1_DUAL_DOC
 
 
@@ -175,23 +163,19 @@ def test_dual_twice_is_original(tmp_path):
     d2 = tmp_path / "d2.map"
     run_cli("dual", CASE1, "--out", str(d1))
     run_cli("dual", str(d1), "--out", str(d2))
-    r = run_cli("iso", str(d2), CASE1, "--op")
-    assert r.returncode == 0
-    assert r.stdout == "equivalent\n"
+    assert run_cli("iso", str(d2), CASE1, "--op") == (0, "equivalent\n", "")
 
 
 def test_refine_text():
-    r = run_cli("refine", N2)
-    assert r.returncode == 0
-    assert r.stdout == (
+    assert run_cli("refine", N2) == (0, (
         "vertices 8 (level1 2, level2 4, level3 2)\n"
         "edges 16\n"
         "faces 8\n"
-    )
+    ), "")
 
 
 def test_refine_rejects_repeated_edges(docs):
-    assert run_cli("refine", str(docs / "efail.map")).returncode == 3
+    assert run_cli("refine", str(docs / "efail.map")).code == 3
 
 
 def test_pgraph_summary_and_dot():
@@ -199,16 +183,14 @@ def test_pgraph_summary_and_dot():
     assert r.stdout == "level1 3  level2 6  level3 3  arcs 24\n"
     d1 = run_cli("pgraph", CASE1, "--dot")
     d2 = run_cli("pgraph", CASE1, "--dot")
-    assert d1.returncode == 0
+    assert d1.code == 0
     assert d1.stdout == d2.stdout
     assert "shape=point" in d1.stdout
     assert '"s:a" -> "f:f1";' in d1.stdout
 
 
 def test_canon_hex(docs):
-    r = run_cli("canon", N2)
-    assert r.returncode == 0
-    assert r.stdout.strip() == N2_KEY_HEX
+    assert run_cli("canon", N2) == (0, N2_KEY_HEX + "\n", "")
     assert run_cli("canon", N2, "--reflect").stdout.strip() == N2_KEY_HEX
     op_a = run_cli("canon", str(docs / "chiral.map"), "--op").stdout
     op_b = run_cli("canon", str(docs / "chiral_mirror.map"), "--op").stdout
@@ -216,13 +198,6 @@ def test_canon_hex(docs):
     refl_a = run_cli("canon", str(docs / "chiral.map")).stdout
     refl_b = run_cli("canon", str(docs / "chiral_mirror.map")).stdout
     assert refl_a == refl_b
-
-
-def _in_process(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_main_reuses_one_parser(monkeypatch, docs):
@@ -236,41 +211,33 @@ def test_main_reuses_one_parser(monkeypatch, docs):
     keys = [canonical_key(mirror(build_chiral()), sense).hex()
             for sense in (False, True)]
     assert keys[0] != keys[1]
-    assert _in_process("canon", chiral, "--op") == (0, keys[0] + "\n", "")
-    assert _in_process("canon", chiral) == (0, keys[1] + "\n", "")
-    err = io.StringIO()
-    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
-        cli.main(["newton", N2])
-    assert exc.value.code == 2
-    assert err.getvalue().startswith("usage: newtonmaps newton [-h]")
-    assert "the following arguments are required: --order" in err.getvalue()
-    assert _in_process("validate", N2) == (0, "ok\n", "")
+    assert run_cli("canon", chiral, "--op") == (0, keys[0] + "\n", "")
+    assert run_cli("canon", chiral) == (0, keys[1] + "\n", "")
+    code, out, err = run_cli("newton", N2)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: newtonmaps newton [-h]")
+    assert "the following arguments are required: --order" in err
+    assert run_cli("validate", N2) == (0, "ok\n", "")
     for _ in range(2):
-        out = io.StringIO()
-        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out):
-            cli.main(["--version"])
-        assert (exc.value.code, out.getvalue()) == (0, "0.1.0\n")
-    assert _in_process("iso", N2, N2, "--op") == (0, "equivalent\n", "")
+        assert run_cli("--version") == (0, "0.1.0\n", "")
+    assert run_cli("iso", N2, N2, "--op") == (0, "equivalent\n", "")
     assert len(built) == 1
 
 
 def test_iso(docs):
-    r = run_cli("iso", N2, N2)
-    assert (r.returncode, r.stdout) == (0, "equivalent\n")
-    r = run_cli("iso", CASE1, CASE3)
-    assert (r.returncode, r.stdout) == (1, "not-equivalent\n")
-    r = run_cli("iso", str(docs / "chiral.map"), str(docs / "chiral_mirror.map"))
-    assert (r.returncode, r.stdout) == (0, "equivalent (reflected)\n")
-    r = run_cli("iso", str(docs / "chiral.map"), str(docs / "chiral_mirror.map"),
-                "--orientation-preserving")
-    assert (r.returncode, r.stdout) == (1, "not-equivalent\n")
+    chiral = [str(docs / "chiral.map"), str(docs / "chiral_mirror.map")]
+    assert run_cli("iso", N2, N2) == (0, "equivalent\n", "")
+    assert run_cli("iso", CASE1, CASE3) == (1, "not-equivalent\n", "")
+    assert run_cli("iso", *chiral) == (0, "equivalent (reflected)\n", "")
+    assert run_cli("iso", *chiral, "--orientation-preserving") == (
+        1, "not-equivalent\n", "")
 
 
 def test_iso_refuses_invalid_map(docs):
     disc = str(docs / "disc.map")
     for args in (("iso", disc, disc), ("iso", N2, disc), ("canon", disc)):
         r = run_cli(*args)
-        assert r.returncode == 3
+        assert r.code == 3
         assert r.stderr.startswith("error:")
         assert "disconnected" in r.stderr  # the message names the defect
 
@@ -295,10 +262,10 @@ def test_canon_refuses_wide_key_before_searching(monkeypatch, tmp_path):
 
     monkeypatch.setattr(canon, "_best_trace", no_search)
     for sense in ([], ["--op"]):
-        code, out, err = _in_process("canon", str(wide), *sense)
+        code, out, err = run_cli("canon", str(wide), *sense)
         assert (code, out) == (3, "")
         assert "trace entries exceed one byte" in err
-        code, out, err = _in_process("canon", str(split), *sense)
+        code, out, err = run_cli("canon", str(split), *sense)
         assert (code, out) == (3, "")
         assert "disconnected" in err
 
@@ -310,7 +277,7 @@ def test_canon_keys_the_widest_map_its_text_holds(tmp_path):
         edges, rot = _parallel_edges(n, "u", "v")
         path = tmp_path / f"parallel{n}.map"
         path.write_text(serialize(make_map(edges, rot)))
-        got, out, err = _in_process("canon", str(path))
+        got, out, err = run_cli("canon", str(path))
         assert (got, len(out.strip())) == (code, digits)
 
 
@@ -346,27 +313,25 @@ def test_cli_import_loads_no_pool_machinery():
 
 
 def test_selfdual(docs):
-    r = run_cli("selfdual", CASE3)
-    assert r.returncode == 0
-    assert r.stdout == "reflective: true\norientation-preserving: true\n"
-    assert run_cli("selfdual", CASE1).returncode == 1
-    r = run_cli("selfdual", str(docs / "chiral.map"))
-    assert r.returncode == 0
-    assert r.stdout == "reflective: true\norientation-preserving: false\n"
+    assert run_cli("selfdual", CASE3) == (
+        0, "reflective: true\norientation-preserving: true\n", "")
+    assert run_cli("selfdual", CASE1).code == 1
+    assert run_cli("selfdual", str(docs / "chiral.map")) == (
+        0, "reflective: true\norientation-preserving: false\n", "")
     # not a Newton graph, so the question is refused
-    assert run_cli("selfdual", str(docs / "sphere.map")).returncode == 3
+    assert run_cli("selfdual", str(docs / "sphere.map")).code == 3
 
 
 def test_newton_verdicts(docs):
     r = run_cli("newton", CASE1, "--order", "3")
-    assert r.returncode == 0
+    assert r.code == 0
     assert "verdict: newton" in r.stdout
     r = run_cli("newton", str(docs / "efail.map"), "--order", "2")
-    assert r.returncode == 1
+    assert r.code == 1
     assert "e-witness: edge a repeats in walk 0" in r.stdout
     assert "verdict: not-newton" in r.stdout
     r = run_cli("newton", CASE1, "--order", "2")
-    assert r.returncode == 1
+    assert r.code == 1
 
 
 def test_newton_json(docs):
@@ -380,7 +345,7 @@ def test_newton_json(docs):
 
 def test_classify_order2_json():
     r = run_cli("classify", "--order", "2", "--format", "json")
-    assert r.returncode == 0
+    assert r.code == 0
     payload = json.loads(r.stdout)
     assert payload["count_refl"] == 1
     assert payload["count_op"] == 1
@@ -390,7 +355,7 @@ def test_classify_order2_json():
 
 def test_classify_order2_golden_files(tmp_path):
     r = run_cli("classify", "--order", "2", "--out", str(tmp_path))
-    assert r.returncode == 0
+    assert r.code == 0
     assert (tmp_path / "atlas_order2.jsonl").read_text() == (
         FIXTURES / "atlas_order2.jsonl").read_text()
     assert (tmp_path / "classification_order2.json").read_text() == (
@@ -399,7 +364,7 @@ def test_classify_order2_golden_files(tmp_path):
 
 def test_classify_order3_golden_files(tmp_path):
     r = run_cli("classify", "--order", "3", "--out", str(tmp_path))
-    assert r.returncode == 0
+    assert r.code == 0
     assert "classes (reflection-allowed): 12" in r.stdout
     assert "classes (orientation-preserving): 14" in r.stdout
     assert "classes (up to duality): 9" in r.stdout
@@ -414,12 +379,12 @@ def test_classify_runs_one_process_by_default():
 
 
 def test_classify_unsupported_order():
-    assert run_cli("classify", "--order", "1").returncode == 3
+    assert run_cli("classify", "--order", "1").code == 3
 
 
 def test_atlas_audit():
     r = run_cli("atlas", str(FIXTURES / "atlas_order3.jsonl"))
-    assert r.returncode == 0
+    assert r.code == 0
     assert r.stdout.splitlines()[0] == "entries: 12"
     assert "case3-f444-d444-selfdual" in r.stdout
     assert "[self-dual, chiral]" in r.stdout
@@ -432,12 +397,12 @@ def test_atlas_audit_catches_corruption(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(corrupted)
     r = run_cli("atlas", str(bad))
-    assert r.returncode == 4
+    assert r.code == 4
     assert "internal consistency failure" in r.stderr
 
     garbage = tmp_path / "garbage.jsonl"
     garbage.write_text("not json\n")
-    assert run_cli("atlas", str(garbage)).returncode == 3
+    assert run_cli("atlas", str(garbage)).code == 3
 
 
 def _keep(recs, keep):
@@ -478,7 +443,7 @@ def test_atlas_audit_rederives_every_field(tmp_path, edit):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(r) + "\n" for r in records))
     r = run_cli("atlas", str(bad))
-    assert r.returncode == 4
+    assert r.code == 4
     assert "internal consistency failure" in r.stderr
 
 
@@ -491,11 +456,9 @@ def test_atlas_audit_checks_labels_at_order2(tmp_path, field, value):
     rec = json.loads((FIXTURES / "atlas_order2.jsonl").read_text())
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({**rec, field: value}) + "\n")
-    r = run_cli("atlas", str(bad))
-    assert r.returncode == 4
-    assert r.stdout == ""
-    assert r.stderr == (f"internal consistency failure: entry {rec['key'][:12]}: "
-                        f"field {field!r} does not match its representative\n")
+    assert run_cli("atlas", str(bad)) == (4, "", (
+        f"internal consistency failure: entry {rec['key'][:12]}: "
+        f"field {field!r} does not match its representative\n"))
 
 
 def test_atlas_audit_takes_records_without_optional_fields(tmp_path):
@@ -505,8 +468,8 @@ def test_atlas_audit_takes_records_without_optional_fields(tmp_path):
     del rec["paper_label"], rec["label_ambiguous"]
     path = tmp_path / "atlas.jsonl"
     path.write_text(json.dumps(rec) + "\n")
-    want = _in_process("atlas", str(golden))
-    assert want[0] == 0 and _in_process("atlas", str(path)) == want
+    want = run_cli("atlas", str(golden))
+    assert want[0] == 0 and run_cli("atlas", str(path)) == want
 
 
 def test_atlas_audit_names_the_missing_dual(tmp_path):
@@ -515,10 +478,9 @@ def test_atlas_audit_names_the_missing_dual(tmp_path):
     gone = next(r for r in records if not r["self_dual"])
     path = tmp_path / "atlas.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records if r is not gone))
-    r = run_cli("atlas", str(path))
-    assert (r.returncode, r.stdout) == (4, "")
-    assert r.stderr == (f"internal consistency failure: dual of class "
-                        f"{gone['dual_key'][:12]} missing from atlas\n")
+    assert run_cli("atlas", str(path)) == (4, "", (
+        f"internal consistency failure: dual of class "
+        f"{gone['dual_key'][:12]} missing from atlas\n"))
 
 
 @pytest.mark.parametrize("build", [build_efail_n2, build_sphere_n2])
@@ -533,7 +495,7 @@ def test_atlas_audit_refuses_non_newton_classes(tmp_path, build, canonical):
     path = tmp_path / "forged.jsonl"
     path.write_text(atlas_to_jsonl([_atlas_entry(x) for x in reps]))
     r = run_cli("atlas", str(path))
-    assert r.returncode == 4
+    assert r.code == 4
     first = json.loads(path.read_text().splitlines()[0])
     reason = (f"representative does not have verdict {first['verdict']!r}"
               if canonical else "representative is not the map its key describes")
@@ -579,7 +541,7 @@ def test_atlas_refuses_malformed_record(tmp_path, bad):
     path = tmp_path / "bad.jsonl"
     path.write_text((FIXTURES / "atlas_order2.jsonl").read_text() + bad + "\n")
     r = run_cli("atlas", str(path))
-    assert r.returncode == 3
+    assert r.code == 3
     assert r.stderr.startswith("error: line 2:")
 
 
@@ -594,7 +556,7 @@ def test_atlas_refuses_malformed_record(tmp_path, bad):
 def test_atlas_names_the_field_at_fault(tmp_path, field, value, reason):
     path = tmp_path / "bad.jsonl"
     path.write_text(_atlas_line(lambda rec: {**rec, field: value}) + "\n")
-    assert _in_process("atlas", str(path)) == (
+    assert run_cli("atlas", str(path)) == (
         3, "", f"error: line 1: bad atlas record: {reason}\n")
 
 
@@ -609,7 +571,7 @@ def test_atlas_refuses_empty_or_mixed_order_atlas(tmp_path, extra, reason):
     path = tmp_path / "atlas.jsonl"
     path.write_text(text)
     r = run_cli("atlas", str(path))
-    assert r.returncode == 4
+    assert r.code == 4
     assert reason in r.stderr
 
 
@@ -618,7 +580,7 @@ def test_non_utf8_file_is_an_input_error(tmp_path, command):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"\xff\xfeorder 2\n")
     r = run_cli(command, str(path))
-    assert r.returncode == 3
+    assert r.code == 3
     assert r.stderr.startswith("error:")
 
 
@@ -627,7 +589,7 @@ def test_unexpected_value_error_is_not_an_input_error(monkeypatch):
         raise ValueError("internal fault")
     monkeypatch.setattr(cli, "serialize", broken)
     with pytest.raises(ValueError, match="internal fault"):
-        cli.main(["dual", N2])
+        run_cli("dual", N2)
 
 
 def test_dual_out_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
@@ -637,16 +599,17 @@ def test_dual_out_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
     def fail(src, dst):
         raise OSError("disk full")
     monkeypatch.setattr(os, "replace", fail)
-    assert cli.main(["dual", N2, "--out", str(target)]) == 3
+    assert run_cli("dual", N2, "--out", str(target)).code == 3
     assert target.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.map"]
 
 
 @pytest.mark.parametrize("out", [".", "/"])
-def test_dual_out_refuses_a_directory(tmp_path, monkeypatch, capsys, out):
+def test_dual_out_refuses_a_directory(tmp_path, monkeypatch, out):
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["dual", N2, "--out", out]) == 3
-    assert capsys.readouterr().err.startswith("error:")
+    r = run_cli("dual", N2, "--out", out)
+    assert r.code == 3
+    assert r.stderr.startswith("error:")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -662,7 +625,7 @@ def test_export_formats():
     assert payload["rotations"]["v1"] == ["a", "b", "c", "d"]
 
 
-def test_json_output_is_json_dumps_indent_2(monkeypatch, capsys, docs):
+def test_json_output_is_json_dumps_indent_2(monkeypatch, docs):
     # every payload a subcommand emits prints as json.dumps(payload,
     # sort_keys=True, indent=2) does, plus a newline
     emitted = []
@@ -684,8 +647,7 @@ def test_json_output_is_json_dumps_indent_2(monkeypatch, capsys, docs):
     commands = set()
     for argv in argvs:
         del emitted[:]
-        cli.main(argv)
-        out = capsys.readouterr().out
+        out = run_cli(*argv).stdout
         if emitted:
             commands.add(argv[0])
             assert out == json.dumps(emitted[0], sort_keys=True, indent=2) + "\n"

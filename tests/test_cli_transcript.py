@@ -10,18 +10,14 @@ rewrite it with
 from the repository root, and say why in the change.
 """
 
-import contextlib
-import io
 import itertools
 import json
 import os
-import pathlib
 import sys
 
-from newtonmaps import cli
+from conftest import ROOT, run_cli
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-TRANSCRIPT = pathlib.Path(__file__).resolve().parent / "cli_transcript.json"
+TRANSCRIPT = ROOT / "tests" / "cli_transcript.json"
 MAPS = ["fixtures/case1.map", "fixtures/case3.map", "fixtures/n2.map"]
 ATLASES = ["fixtures/atlas_order2.jsonl", "fixtures/atlas_order3.jsonl"]
 FORMATS = [[], ["--format", "json"]]
@@ -50,11 +46,7 @@ def invocations() -> list[list[str]]:
 
 
 def replay(argv: list[str]) -> dict:
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
-    return {"argv": argv, "code": code, "stdout": stdout.getvalue(),
-            "stderr": stderr.getvalue()}
+    return {"argv": argv, **run_cli(*argv)._asdict()}
 
 
 def test_cli_transcript_is_unchanged(monkeypatch):

@@ -1,14 +1,15 @@
 """Dual maps, the common refinement, and the three-level digraph."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
-from conftest import build_efail_n2, build_loop_map
+from conftest import build_efail_n2, build_loop_map, build_torus_grid
 from newtonmaps import (MapStructureError, abstract_p_graph, are_equivalent,
                         canonical_key, degree_sequence, dual,
                         euler_characteristic, face_degree_sequence,
-                        facial_walks, refinement, serialize)
+                        facial_walks, make_map, refinement, serialize)
 
 CASE1_DUAL_DOC = (
     "order 3\n"
@@ -117,7 +118,6 @@ def test_refinement_crossing_neighborhoods(case1):
         assert len(neighbors) == 4
         vside = {v for v in neighbors if v[0] == "v"}
         fside = {v for v in neighbors if v[0] == "f"}
-        assert len(vside) == 2
         assert vside == {("v", x) for x in case1.endpoints(k)}
         assert len(fside) == 2
 
@@ -127,6 +127,36 @@ def test_refinement_handles_loops_when_walks_are_clean():
     ref = refinement(build_loop_map())
     assert _level_counts(ref) == (2, 3, 3)
     assert euler_characteristic(ref) == 2
+
+
+def _refinement_from_tokens(m):
+    """The refinement as make_map builds it from its definition: tagged edge
+    declarations, and rotations of (name, end) tokens."""
+    walks = facial_walks(m)
+    face = {d: i for i, w in enumerate(walks) for d in w}
+    edges = [(("h", d), (("v", m.dart_origin[d]), ("s", m.edge_of(d))))
+             for d in range(m.n_darts)]
+    edges += [(("g", d), (("s", m.edge_of(d)), ("f", face[d] + 1)))
+              for d in range(m.n_darts)]
+    rotations = {("v", v): [(("h", d), 0) for d in m.rotation_at(v)]
+                 for v in m.vertices}
+    for k, e in enumerate(m.edges):
+        rotations[("s", e)] = [(("h", 2 * k), 1), (("g", 2 * k), 0),
+                               (("h", 2 * k + 1), 1), (("g", 2 * k + 1), 0)]
+    for i, w in enumerate(walks):
+        rotations[("f", i + 1)] = [(("g", d), 1) for d in reversed(w)]
+    return make_map(edges, rotations)
+
+
+def test_refinement_is_its_token_built_map(n2, case1, case3):
+    for m in (n2, case1, case3, build_loop_map(), build_torus_grid(5, 7)):
+        assert refinement(m) == _refinement_from_tokens(m)
+    # built directly, a map may name two edges alike; their crossings
+    # would then be one vertex
+    twice = dataclasses.replace(case1, edges=case1.edges[:-1] + case1.edges[:1])
+    for refine in (refinement, _refinement_from_tokens):
+        with pytest.raises(MapStructureError):
+            refine(twice)
 
 
 def test_refinement_rejects_edge_repeating_walks():

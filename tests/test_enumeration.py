@@ -11,7 +11,7 @@ import pytest
 
 from _oracle import brute_force_iso, orbit_class_counts
 from conftest import (FIXTURES, build_chiral, build_grid4, build_sphere_n2,
-                      raw_candidates)
+                      raw_candidates, run_cli)
 from newtonmaps import (ClassificationMismatchError, EmbeddedMap, SelfDuality,
                         Stratum, UnsuitableMapError, UnsupportedOrderError,
                         atlas_from_jsonl, atlas_to_jsonl, canonical_key,
@@ -259,15 +259,15 @@ def test_scan_keys_until_the_classes_hold_every_candidate(monkeypatch):
 
 
 @pytest.mark.parametrize("delta", [1, -1])
-def test_miscounted_automorphisms_are_a_mismatch(monkeypatch, capsys, tmp_path, delta):
+def test_miscounted_automorphisms_are_a_mismatch(monkeypatch, tmp_path, delta):
     import newtonmaps.enumeration as en
-    from newtonmaps import cli
     monkeypatch.setattr(en, "_count_isomorphisms",
                         lambda sigma, tau: _count_isomorphisms(sigma, tau) + delta)
     with pytest.raises(ClassificationMismatchError, match="vector"):
         en.enumerate_newton(3)
-    assert cli.main(["classify", "--order", "3", "--out", str(tmp_path)]) == 4
-    assert "internal consistency failure: vector" in capsys.readouterr().err
+    code, _, err = run_cli("classify", "--order", "3", "--out", str(tmp_path))
+    assert code == 4
+    assert "internal consistency failure: vector" in err
     assert list(tmp_path.iterdir()) == []
 
 
