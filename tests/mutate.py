@@ -6,13 +6,13 @@ Every site of four operators in src/newtonmaps/*.py (or in the named
 modules) becomes one mutant: a comparison flipped, an integer constant
 raised by 1, `and` and `or` swapped, or a `not` dropped.  Each mutant
 runs tier-1 with -x in a temporary copy of src/, tests/ and fixtures/,
-so the checkout is never edited, under a wall limit after which the
-run's whole process group is killed (tier-1 starts process pools), and
-under a cap on each process's memory.  One mutant runs per CPU, and
-each prints one JSON line:
+so the checkout is never edited, under a cap on each process's memory
+and under a wall of three times the unmutated run's seconds, after
+which the run's whole process group is killed (tier-1 starts process
+pools).  One mutant runs per CPU, and each prints one JSON line:
 
     killed       tier-1 failed, or a process passed the memory cap
-    timeout      tier-1 hit the wall limit, which counts as killed
+    timeout      tier-1 hit the wall, which counts as killed
     equivalent   tier-1 passed, and EQUIVALENT lists the mutant
     survived     tier-1 passed, and nothing says why it may
 
@@ -42,7 +42,6 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "newtonmaps"
-WALL_S = 180
 MEMORY_BYTES = 512 << 20  # address space of each process of a run
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
 
@@ -148,8 +147,9 @@ def modules() -> list[str]:
     return sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
-def _tier1(mutant: Site | None) -> tuple[str, float]:
-    """Runs tier-1 in a fresh copy, with mutant's module replaced."""
+def _tier1(mutant: Site | None, wall: float | None) -> tuple[str, float]:
+    """Runs tier-1 in a fresh copy, with mutant's module replaced, for at
+    most wall seconds (no limit if None)."""
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         # test_mutate.py reads the package's source text, which every
@@ -165,7 +165,7 @@ def _tier1(mutant: Site | None) -> tuple[str, float]:
         proc = subprocess.Popen(TIER1, cwd=tmp, env=env, start_new_session=True,
                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
-            code = proc.wait(timeout=WALL_S)
+            code = proc.wait(timeout=wall)
             status = "survived" if code == 0 else "killed"
         except subprocess.TimeoutExpired:
             status = "timeout"
@@ -192,13 +192,17 @@ def main(argv: list[str]) -> int:
     # fails, and is killed, instead of exhausting the machine's memory
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, hard))
-    if _tier1(None)[0] != "survived":
+    status, seconds = _tier1(None, None)
+    if status != "survived":
         print("tier-1 fails on the unmutated package", file=sys.stderr)
         return 2
+    wall = 3 * seconds
+    print(f"unmutated tier-1: {seconds} s; each mutant's wall: {wall:.1f} s",
+          file=sys.stderr, flush=True)
     todo = [s for name in names for s in sites(name)]
     tally = Counter()
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        futures = {pool.submit(_tier1, s): s for s in todo}
+        futures = {pool.submit(_tier1, s, wall): s for s in todo}
         for future in as_completed(futures):
             site, (status, seconds) = futures[future], future.result()
             if _key(site) in EQUIVALENT:

@@ -1,6 +1,8 @@
-"""The mutation audit's site list, mutants and equivalent list; no tier-1 run."""
+"""The mutation audit's site list, mutants, equivalent list and wall; no
+tier-1 run is let finish."""
 
 import ast
+import time
 
 import mutate
 
@@ -43,3 +45,9 @@ def test_equivalent_mutants_are_still_sites():
     keys = {mutate._key(s) for m in mutate.modules() for s in mutate.sites(m)}
     assert sorted(set(mutate.EQUIVALENT) - keys) == []
     assert all(mutate.EQUIVALENT.values())
+
+
+def test_a_run_past_its_wall_is_killed():
+    start = time.monotonic()
+    assert mutate._tier1(None, 0.1)[0] == "timeout"
+    assert time.monotonic() - start < 5
