@@ -358,7 +358,3 @@ def main(argv=None) -> int:
     except (ClassificationMismatchError, WitnessError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -191,7 +191,7 @@ def map_to_dot(m: EmbeddedMap) -> str:
 def map_to_json_dict(m: EmbeddedMap) -> dict:
     tokens = _dart_tokens(m)
     rotations = {str(vertex): _rotation_tokens(m, tokens, vertex)
-                 for vertex in sorted(m.vertices)}
+                 for vertex in sorted(m.vertices, key=lambda v: _name_order(str(v)))}
     edges = [[str(m.edges[k]), *map(str, m.endpoints(k))]
              for k in _edges_by_name(m)]
     return {"order": m.order, "edges": edges, "rotations": rotations}

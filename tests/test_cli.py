@@ -1,4 +1,6 @@
-"""Command-line behavior, exit codes, and golden output files."""
+"""Command-line behavior on inputs the transcript lacks: hand-built maps,
+corrupted or forged atlases, file-system faults, exit codes and the
+order-3 golden files."""
 
 import json
 import os
@@ -42,10 +44,6 @@ def docs(tmp_path_factory):
     return d
 
 
-def test_version():
-    assert run_cli("--version") == (0, "0.1.0\n", "")
-
-
 def test_module_entry_point_exit_codes():
     # the one test of the process boundary: python -m newtonmaps hands
     # main's code, or argparse's, to the shell
@@ -59,11 +57,6 @@ def test_module_entry_point_exit_codes():
 def test_usage_errors():
     assert run_cli().code == 2
     assert run_cli("no-such-command").code == 2
-    assert run_cli("newton", N2).code == 2  # --order is required
-
-
-def test_validate_ok():
-    assert run_cli("validate", N2) == (0, "ok\n", "")
 
 
 def test_validate_reports_defects(docs):
@@ -88,9 +81,6 @@ def test_validate_json(docs):
 
 
 def test_input_errors(docs):
-    r = run_cli("validate", str(docs / "missing.map"))
-    assert r.code == 3
-    assert r.stderr.startswith("error:")
     r = run_cli("validate", str(docs / "bad.map"))
     assert r.code == 3
     assert "line 1" in r.stderr
@@ -104,34 +94,6 @@ def test_non_ascii_order_digit_is_an_input_error(tmp_path, digit):
     r = run_cli("validate", str(path))
     assert r.code == 3
     assert "line 1: order needs one positive integer" in r.stderr
-
-
-def test_faces_text():
-    assert run_cli("faces", CASE1) == (0, (
-        "f1 (length 6): v1 a v2 b v3 c v1 d v2 e v3 f\n"
-        "f2 (length 3): v2 a v1 c v3 e\n"
-        "f3 (length 3): v3 b v2 d v1 f\n"
-        "faces 3  chi 0  genus 1\n"
-    ), "")
-
-
-def test_faces_json():
-    r = run_cli("faces", CASE1, "--format", "json")
-    payload = json.loads(r.stdout)
-    assert payload == {
-        "euler_characteristic": 0,
-        "genus": 1,
-        "face_degrees": [6, 3, 3],
-        "walks": [
-            {"face": "f1", "length": 6,
-             "steps": [["v1", "a"], ["v2", "b"], ["v3", "c"],
-                       ["v1", "d"], ["v2", "e"], ["v3", "f"]]},
-            {"face": "f2", "length": 3,
-             "steps": [["v2", "a"], ["v1", "c"], ["v3", "e"]]},
-            {"face": "f3", "length": 3,
-             "steps": [["v3", "b"], ["v2", "d"], ["v1", "f"]]},
-        ],
-    }
 
 
 def test_faces_traces_once(monkeypatch, case1):
@@ -152,7 +114,6 @@ def test_faces_refuses_invalid_map(docs):
 
 
 def test_dual_stdout_and_file(tmp_path):
-    assert run_cli("dual", CASE1) == (0, CASE1_DUAL_DOC, "")
     out = tmp_path / "dual.map"
     assert run_cli("dual", CASE1, "--out", str(out)) == (0, "", "")
     assert out.read_text() == CASE1_DUAL_DOC
@@ -166,31 +127,11 @@ def test_dual_twice_is_original(tmp_path):
     assert run_cli("iso", str(d2), CASE1, "--op") == (0, "equivalent\n", "")
 
 
-def test_refine_text():
-    assert run_cli("refine", N2) == (0, (
-        "vertices 8 (level1 2, level2 4, level3 2)\n"
-        "edges 16\n"
-        "faces 8\n"
-    ), "")
-
-
 def test_refine_rejects_repeated_edges(docs):
     assert run_cli("refine", str(docs / "efail.map")).code == 3
 
 
-def test_pgraph_summary_and_dot():
-    r = run_cli("pgraph", CASE1)
-    assert r.stdout == "level1 3  level2 6  level3 3  arcs 24\n"
-    d1 = run_cli("pgraph", CASE1, "--dot")
-    d2 = run_cli("pgraph", CASE1, "--dot")
-    assert d1.code == 0
-    assert d1.stdout == d2.stdout
-    assert "shape=point" in d1.stdout
-    assert '"s:a" -> "f:f1";' in d1.stdout
-
-
 def test_canon_hex(docs):
-    assert run_cli("canon", N2) == (0, N2_KEY_HEX + "\n", "")
     assert run_cli("canon", N2, "--reflect").stdout.strip() == N2_KEY_HEX
     op_a = run_cli("canon", str(docs / "chiral.map"), "--op").stdout
     op_b = run_cli("canon", str(docs / "chiral_mirror.map"), "--op").stdout
@@ -226,8 +167,6 @@ def test_main_reuses_one_parser(monkeypatch, docs):
 
 def test_iso(docs):
     chiral = [str(docs / "chiral.map"), str(docs / "chiral_mirror.map")]
-    assert run_cli("iso", N2, N2) == (0, "equivalent\n", "")
-    assert run_cli("iso", CASE1, CASE3) == (1, "not-equivalent\n", "")
     assert run_cli("iso", *chiral) == (0, "equivalent (reflected)\n", "")
     assert run_cli("iso", *chiral, "--orientation-preserving") == (
         1, "not-equivalent\n", "")
@@ -313,9 +252,6 @@ def test_cli_import_loads_no_pool_machinery():
 
 
 def test_selfdual(docs):
-    assert run_cli("selfdual", CASE3) == (
-        0, "reflective: true\norientation-preserving: true\n", "")
-    assert run_cli("selfdual", CASE1).code == 1
     assert run_cli("selfdual", str(docs / "chiral.map")) == (
         0, "reflective: true\norientation-preserving: false\n", "")
     # not a Newton graph, so the question is refused
@@ -323,15 +259,10 @@ def test_selfdual(docs):
 
 
 def test_newton_verdicts(docs):
-    r = run_cli("newton", CASE1, "--order", "3")
-    assert r.code == 0
-    assert "verdict: newton" in r.stdout
     r = run_cli("newton", str(docs / "efail.map"), "--order", "2")
     assert r.code == 1
     assert "e-witness: edge a repeats in walk 0" in r.stdout
     assert "verdict: not-newton" in r.stdout
-    r = run_cli("newton", CASE1, "--order", "2")
-    assert r.code == 1
 
 
 def test_newton_json(docs):
@@ -341,25 +272,6 @@ def test_newton_json(docs):
     assert payload["e_property"] is False
     assert payload["e_witness"] == {"walk_index": 0, "repeated_edge": "a"}
     assert payload["verdict"] == "not-newton"
-
-
-def test_classify_order2_json():
-    r = run_cli("classify", "--order", "2", "--format", "json")
-    assert r.code == 0
-    payload = json.loads(r.stdout)
-    assert payload["count_refl"] == 1
-    assert payload["count_op"] == 1
-    assert payload["strata"] == [
-        {"max_face": 4, "vertex_pattern": [2, 2], "classes": 1}]
-
-
-def test_classify_order2_golden_files(tmp_path):
-    r = run_cli("classify", "--order", "2", "--out", str(tmp_path))
-    assert r.code == 0
-    assert (tmp_path / "atlas_order2.jsonl").read_text() == (
-        FIXTURES / "atlas_order2.jsonl").read_text()
-    assert (tmp_path / "classification_order2.json").read_text() == (
-        FIXTURES / "classification_order2.json").read_text()
 
 
 def test_classify_order3_golden_files(tmp_path):
@@ -376,18 +288,6 @@ def test_classify_order3_golden_files(tmp_path):
 
 def test_classify_runs_one_process_by_default():
     assert cli.build_parser().parse_args(["classify", "--order", "3"]).jobs == 1
-
-
-def test_classify_unsupported_order():
-    assert run_cli("classify", "--order", "1").code == 3
-
-
-def test_atlas_audit():
-    r = run_cli("atlas", str(FIXTURES / "atlas_order3.jsonl"))
-    assert r.code == 0
-    assert r.stdout.splitlines()[0] == "entries: 12"
-    assert "case3-f444-d444-selfdual" in r.stdout
-    assert "[self-dual, chiral]" in r.stdout
 
 
 def test_atlas_audit_catches_corruption(tmp_path):
@@ -470,6 +370,19 @@ def test_atlas_audit_takes_records_without_optional_fields(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     want = run_cli("atlas", str(golden))
     assert want[0] == 0 and run_cli("atlas", str(path)) == want
+
+
+def test_atlas_skips_blank_lines(tmp_path):
+    # a fault after blank lines is reported at its line of the file
+    golden = FIXTURES / "atlas_order3.jsonl"
+    lines = golden.read_text().splitlines()
+    path = tmp_path / "atlas.jsonl"
+    path.write_text("\n" + "\n \n".join(lines) + "\n\n")
+    want = run_cli("atlas", str(golden))
+    assert want.code == 0 and run_cli("atlas", str(path)) == want
+    path.write_text("\n" + lines[0] + "\n \nnot json\n")
+    assert run_cli("atlas", str(path)) == (3, "", (
+        "error: line 4: bad atlas record: Expecting value: line 1 column 1 (char 0)\n"))
 
 
 def test_atlas_audit_names_the_missing_dual(tmp_path):
@@ -611,18 +524,6 @@ def test_dual_out_refuses_a_directory(tmp_path, monkeypatch, out):
     assert r.code == 3
     assert r.stderr.startswith("error:")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_export_formats():
-    r = run_cli("export", CASE1, "--to", "doc")
-    assert r.stdout == (FIXTURES / "case1.map").read_text()
-    r = run_cli("export", N2, "--to", "dot")
-    assert r.stdout.startswith("graph map {\n")
-    assert '"v1" -- "v2" [label="a"];' in r.stdout
-    r = run_cli("export", CASE3, "--to", "json")
-    payload = json.loads(r.stdout)
-    assert payload["order"] == 3
-    assert payload["rotations"]["v1"] == ["a", "b", "c", "d"]
 
 
 def test_json_output_is_json_dumps_indent_2(monkeypatch, docs):

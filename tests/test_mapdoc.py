@@ -7,8 +7,8 @@ import pytest
 
 from conftest import (build_loop_map, build_random_multigraph, canonical_form,
                       fixture_text)
-from newtonmaps import (ParseError, map_to_dot, map_to_json_dict, parse,
-                        refinement, serialize, validate)
+from newtonmaps import (ParseError, make_map, map_to_dot, map_to_json_dict,
+                        parse, refinement, serialize, validate)
 
 N2_DOC = fixture_text("n2.map")
 CASE1_DOC = fixture_text("case1.map")
@@ -204,6 +204,15 @@ def test_map_to_json_dict(n2):
                   ["c", "v1", "v2"], ["d", "v1", "v2"]],
         "rotations": {"v1": ["a", "b", "c", "d"], "v2": ["a", "b", "c", "d"]},
     }
+    # vertex ids of two types, which only the Python API builds, are
+    # listed by their text, as map_to_dot lists them
+    mixed = make_map([("a", (10, "x")), ("b", (10, "x"))],
+                     {10: ["a", "b"], "x": ["a", "b"]})
+    payload = map_to_json_dict(mixed)
+    assert payload == {"order": 2, "edges": [["a", "10", "x"], ["b", "10", "x"]],
+                       "rotations": {"x": ["a", "b"], "10": ["a", "b"]}}
+    assert list(payload["rotations"]) == ["x", "10"]
+    assert map_to_dot(mixed).splitlines()[1:3] == ['  "x";', '  "10";']
 
 
 def test_exports_follow_the_document_order():
@@ -216,6 +225,7 @@ def test_exports_follow_the_document_order():
     assert edges[25:27] == [["z", "v8", "v6"], ["e27", "v7", "v13"]]
     assert vertices[8:10] == ["v9", "v10"]
     assert map_to_json_dict(m)["edges"] == edges
+    assert list(map_to_json_dict(m)["rotations"]) == vertices
     dot = [line.split('"') for line in map_to_dot(m).splitlines()]
     assert [f[1] for f in dot if len(f) == 3] == vertices
     assert [[f[5], f[1], f[3]] for f in dot if len(f) == 7] == edges

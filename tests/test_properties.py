@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import canonical_form, raw_candidates
 from newtonmaps import (are_equivalent, canonical_key, dual,
-                        euler_characteristic, facial_walks, genus, is_newton,
-                        mirror, parse, relabel, serialize)
+                        euler_characteristic, facial_walks, genus, mirror,
+                        parse, relabel, serialize)
 from newtonmaps.embedded_map import _cycles
 
 common = settings(max_examples=40, deadline=None)
@@ -60,16 +60,6 @@ def test_dual_and_mirror_are_involutions(data):
     assert dd.sigma == m.sigma
     assert dd.n_darts == m.n_darts  # so the pairing d ^ 1 is the same
     assert mirror(mirror(m)) == m
-
-
-@common
-@given(st.data())
-def test_edge_repetition_matches_dual_loops(data):
-    m = draw_map(data)
-    d = dual(m)
-    has_dual_loop = any(d.dart_origin[2 * k] == d.dart_origin[2 * k + 1]
-                        for k in range(d.n_edges))
-    assert is_newton(m, m.order).e_property.holds == (not has_dual_loop)
 
 
 @common
