@@ -84,12 +84,9 @@ def _sense(args) -> bool:
 
 
 def _add_sense_flags(sub) -> None:
-    g = sub.add_mutually_exclusive_group()
-    g.add_argument("--reflect", action="store_true", default=True,
-                   help="allow reflection (default)")
-    g.add_argument("--orientation-preserving", "--op", dest="orientation_preserving",
-                   action="store_true",
-                   help="strict oriented sense, no reflection")
+    sub.add_argument("--orientation-preserving", "--op", dest="orientation_preserving",
+                     action="store_true",
+                     help="strict oriented sense (default: reflection allowed)")
 
 
 def _add_format(sub) -> None:
@@ -204,7 +201,7 @@ def cmd_selfdual(args) -> int:
 
 
 def cmd_newton(args) -> int:
-    rep = is_newton(_load(args.file), args.order)
+    rep = is_newton(_load(args.file))
     e_wit = None
     if rep.e_property.witness is not None:
         w = rep.e_property.witness
@@ -325,9 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "a", "b"))
     _add_format(_command(sub, "selfdual", cmd_selfdual,
                          "self-duality, both senses", "file"))
-    s = _command(sub, "newton", cmd_newton, "Newton-graph verdict", "file")
-    s.add_argument("--order", type=int, required=True)
-    _add_format(s)
+    _add_format(_command(sub, "newton", cmd_newton,
+                         "Newton-graph verdict", "file"))
     s = _command(sub, "classify", cmd_classify, "enumerate and classify an order")
     s.add_argument("--order", type=int, required=True)
     s.add_argument("--jobs", type=int, default=1,

@@ -143,7 +143,7 @@ def _scan_vector(args) -> set:
     # validate looks up the vector's one report and is_newton refuses what it
     # refuses, but perfbench's traced funnel counts these calls (ROADMAP item 1b)
     accepted = [m for m in _vector_candidates(order, mult)
-                if validate(m).ok and is_newton(m, order).verdict != "not-newton"]
+                if validate(m).ok and is_newton(m).verdict != "not-newton"]
     weight = _relabelings(order, mult)
     left = len(accepted)  # accepted candidates in no class found yet
     found = set()
@@ -267,7 +267,7 @@ def _duality_fields(m: EmbeddedMap) -> dict:
 
 def self_duality(m: EmbeddedMap) -> SelfDuality:
     """Whether a Newton map is equivalent to its dual, in both senses."""
-    verdict = is_newton(m, m.order).verdict
+    verdict = is_newton(m).verdict
     if verdict != "newton":
         raise UnsuitableMapError(f"self-duality is defined for Newton graphs; "
                                  f"verdict here is {verdict!r}")
@@ -454,7 +454,7 @@ def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
                 raise ClassificationMismatchError(
                     f"entry {e.key.hex()[:12]}: field {f.name!r} does not match "
                     "its representative")
-        if is_newton(e.representative, e.order).verdict != e.verdict:
+        if is_newton(e.representative).verdict != e.verdict:
             raise ClassificationMismatchError(
                 f"entry {e.key.hex()[:12]}: representative does not have "
                 f"verdict {e.verdict!r}")

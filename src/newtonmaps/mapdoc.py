@@ -16,7 +16,7 @@ names first (so v2 before v10, and z before e27, as decoded class maps
 number them), each rotation rotated to start at its lexicographically
 smallest token, no orientation marker.  On such documents parse and
 serialize are mutually inverse byte for byte.  The DOT and JSON exports
-list edges (and DOT its vertices) in the same name order.
+list edges and vertices in the same name order.
 """
 
 from __future__ import annotations
@@ -153,6 +153,16 @@ def _name_order(name: str) -> tuple[int, str]:
     return len(name), name
 
 
+def _vertices_by_name(m: EmbeddedMap) -> list[tuple[str, object]]:
+    """(text, id) of each vertex, in name order; the exports name vertices by
+    text, so two ids of one text (1 and "1") are refused."""
+    named = sorted(((str(v), v) for v in m.vertices), key=lambda p: _name_order(p[0]))
+    for (text, u), (other, v) in zip(named, named[1:]):
+        if text == other:
+            raise ValueError(f"vertex ids {u!r} and {v!r} both print as {text!r}")
+    return named
+
+
 def _edges_by_name(m: EmbeddedMap) -> list[int]:
     order = [_name_order(str(e)) for e in m.edges]
     return sorted(range(m.n_edges), key=order.__getitem__)
@@ -179,8 +189,8 @@ def serialize(m: EmbeddedMap) -> str:
 def map_to_dot(m: EmbeddedMap) -> str:
     """Undirected multigraph rendering of the map's underlying graph."""
     lines = ["graph map {"]
-    for v in sorted(map(str, m.vertices), key=_name_order):
-        lines.append(f'  "{v}";')
+    for text, _ in _vertices_by_name(m):
+        lines.append(f'  "{text}";')
     for k in _edges_by_name(m):
         u, v = m.endpoints(k)
         lines.append(f'  "{u}" -- "{v}" [label="{m.edges[k]}"];')
@@ -190,8 +200,8 @@ def map_to_dot(m: EmbeddedMap) -> str:
 
 def map_to_json_dict(m: EmbeddedMap) -> dict:
     tokens = _dart_tokens(m)
-    rotations = {str(vertex): _rotation_tokens(m, tokens, vertex)
-                 for vertex in sorted(m.vertices, key=lambda v: _name_order(str(v)))}
+    rotations = {text: _rotation_tokens(m, tokens, vertex)
+                 for text, vertex in _vertices_by_name(m)}
     edges = [[str(m.edges[k]), *map(str, m.endpoints(k))]
              for k in _edges_by_name(m)]
     return {"order": m.order, "edges": edges, "rotations": rotations}

@@ -74,8 +74,8 @@ def _report(order: int, connected: bool, toroidal: bool, loopless: bool,
                         _accepted_verdict(order) if newton else "not-newton")
 
 
-def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
-    """The Newton verdict: toroidal, loopless and E-property.
+def is_newton(m: EmbeddedMap) -> NewtonReport:
+    """The Newton verdict at m's order: toroidal, loopless and E-property.
 
     Faces are phi-cycles, numbered by least dart, and a face's degree is
     its length; looplessness and degree-one vertices are read from the
@@ -91,7 +91,7 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
     count 4r darts.  So only a looped map counts its vertex degrees.  Equal
     outcomes share one report; the map caches nothing.
     """
-    report = validate(m)
+    order, report = m.order, validate(m)
     if not report.ok:
         return _report(order, False, False, False, None, None, False)
     # label each dart's face and count face lengths, reading phi(d) = sigma(d ^ 1)
@@ -106,7 +106,7 @@ def is_newton(m: EmbeddedMap, order: int) -> NewtonReport:
                 k += 1
             sizes.append(k)
     # r vertices, 4r darts (so 2r edges) and r faces force characteristic 0
-    toroidal = (len(m.vertices), len(sizes), len(sigma)) == (order, order, 4 * order)
+    toroidal = len(sizes) == order and len(sigma) == 4 * order
     even = face[0::2]
     same = list(map(eq, even, face[1::2]))
     f = edge = None

@@ -80,8 +80,9 @@ def euler_from_doc(text: str) -> int:
     return len(rots) - len(ends) + len(walk_circuits(text))
 
 
-def newton_reference(text: str, order: int) -> dict:
-    """The document's Newton report fields, read from its rotation lists.
+def newton_reference(text: str) -> dict:
+    """The document's Newton report fields, read from its rotation lists,
+    at its order, the number of those lists.
 
     Face lengths come from walk_circuits and vertex degrees from the
     rotation lists.  The E-witness is (face index, edge) for the first
@@ -95,10 +96,10 @@ def newton_reference(text: str, order: int) -> dict:
     witness = next(((i, e) for i, c in enumerate(circuits) for e in c
                     if c.count(e) == 2), None)
     degrees = [len(toks) for toks in rots.values()] + [len(c) for c in circuits]
+    order = len(rots)
     return {
-        "cellular_toroidal": (len(rots) - len(ends) + len(circuits) == 0
-                              and len(rots) == order and len(ends) == 2 * order
-                              and len(circuits) == order),
+        "cellular_toroidal": (order - len(ends) + len(circuits) == 0
+                              and len(ends) == 2 * order and len(circuits) == order),
         "loopless": all(u != v for u, v in ends.values()),
         "e_property": witness is None,
         "e_witness": witness,
@@ -197,7 +198,7 @@ def orbit_class_counts(order: int) -> tuple[Fraction, Fraction, Fraction]:
     for mult in _multiplicity_vectors(order, 2):
         w = factorial(order) * prod(map(factorial, mult))
         for m in _vector_candidates(order, mult):
-            if is_newton(m, order).verdict == "not-newton":
+            if is_newton(m).verdict == "not-newton":
                 continue
             sigma = m.sigma
             phi = tuple(sigma[d ^ 1] for d in range(len(sigma)))

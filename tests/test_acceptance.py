@@ -139,7 +139,7 @@ def _brute_force_classes(maps, allow_reflection):
 
 def test_acceptance_5_orientation_preserving_total(atlas3):
     report = classify(atlas3)
-    accepted = [m for m in pool(3) if is_newton(m, 3).verdict == "newton"]
+    accepted = [m for m in pool(3) if is_newton(m).verdict == "newton"]
     op_reps = _brute_force_classes(accepted, False)
     # reflection classes are unions of orientation-preserving ones
     refl_reps = _brute_force_classes(op_reps, True)
@@ -177,7 +177,7 @@ def test_acceptance_6_property_suites(atlas2, atlas3):
                 d = dual(m)
                 loopy = any(d.dart_origin[2 * k] == d.dart_origin[2 * k + 1]
                             for k in range(d.n_edges))
-                assert is_newton(m, order).e_property.holds == (not loopy)
+                assert is_newton(m).e_property.holds == (not loopy)
                 checked += 1
         assert checked == 36 + 9432
 

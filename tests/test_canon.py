@@ -212,7 +212,7 @@ def test_key_search_matches_full_search():
     # a root whose visit order reaches that minimum
     rng = random.Random(23)
     accepted = [m for m in raw_candidates(3)
-                if is_newton(m, 3).verdict == "newton"]
+                if is_newton(m).verdict == "newton"]
     assert len(accepted) == 1372
     maps = accepted + [mirror(m) for m in accepted]
     maps += [build_torus_grid(k, l) for k, l in ((3, 3), (3, 5), (4, 7), (8, 10))]
@@ -364,8 +364,8 @@ def test_bounded_iso_matches_unbounded_search():
 
 def test_automorphism_count_matches_full_search():
     # |Aut+| is the number of roots whose full trace is the least one
-    accepted = [m for m in raw_candidates(2) if is_newton(m, 2).verdict == "newton"]
-    accepted += [m for m in raw_candidates(3) if is_newton(m, 3).verdict == "newton"]
+    accepted = [m for m in raw_candidates(2) if is_newton(m).verdict == "newton"]
+    accepted += [m for m in raw_candidates(3) if is_newton(m).verdict == "newton"]
     assert len(accepted) == 6 + 1372
     maps = accepted + [mirror(m) for m in accepted]
     maps += [build_torus_grid(3, 3), build_torus_grid(4, 7)]

@@ -16,7 +16,6 @@ from newtonmaps import (atlas_to_jsonl, canon, canonical_key, cli, dual,
                         embedded_map, make_map, mirror, parse, relabel,
                         serialize)
 from newtonmaps.enumeration import _atlas_entry
-from test_canon import N2_KEY_HEX
 from test_duality import CASE1_DUAL_DOC
 
 N2 = str(FIXTURES / "n2.map")
@@ -48,15 +47,17 @@ def test_module_entry_point_exit_codes():
     # the one test of the process boundary: python -m newtonmaps hands
     # main's code, or argparse's, to the shell
     for code, args in ((0, ["--version"]), (1, ["iso", CASE1, CASE3]),
-                       (2, ["newton", N2]), (3, ["validate", "no-such.map"])):
+                       (2, ["newton"]), (3, ["validate", "no-such.map"])):
         r = subprocess.run([sys.executable, "-m", "newtonmaps", *args],
                            capture_output=True, cwd=ROOT)
         assert r.returncode == code, args
 
 
 def test_usage_errors():
-    assert run_cli().code == 2
-    assert run_cli("no-such-command").code == 2
+    # a map states its order, and reflection is the default sense
+    for argv in ((), ("no-such-command",), ("newton", N2, "--order", "2"),
+                 ("canon", N2, "--reflect"), ("iso", N2, N2, "--reflect")):
+        assert run_cli(*argv).code == 2
 
 
 def test_validate_reports_defects(docs):
@@ -132,7 +133,6 @@ def test_refine_rejects_repeated_edges(docs):
 
 
 def test_canon_hex(docs):
-    assert run_cli("canon", N2, "--reflect").stdout.strip() == N2_KEY_HEX
     op_a = run_cli("canon", str(docs / "chiral.map"), "--op").stdout
     op_b = run_cli("canon", str(docs / "chiral_mirror.map"), "--op").stdout
     assert op_a != op_b
@@ -154,10 +154,10 @@ def test_main_reuses_one_parser(monkeypatch, docs):
     assert keys[0] != keys[1]
     assert run_cli("canon", chiral, "--op") == (0, keys[0] + "\n", "")
     assert run_cli("canon", chiral) == (0, keys[1] + "\n", "")
-    code, out, err = run_cli("newton", N2)
+    code, out, err = run_cli("newton")
     assert (code, out) == (2, "")
     assert err.startswith("usage: newtonmaps newton [-h]")
-    assert "the following arguments are required: --order" in err
+    assert "the following arguments are required: file" in err
     assert run_cli("validate", N2) == (0, "ok\n", "")
     for _ in range(2):
         assert run_cli("--version") == (0, "0.1.0\n", "")
@@ -259,15 +259,14 @@ def test_selfdual(docs):
 
 
 def test_newton_verdicts(docs):
-    r = run_cli("newton", str(docs / "efail.map"), "--order", "2")
+    r = run_cli("newton", str(docs / "efail.map"))
     assert r.code == 1
     assert "e-witness: edge a repeats in walk 0" in r.stdout
     assert "verdict: not-newton" in r.stdout
 
 
 def test_newton_json(docs):
-    r = run_cli("newton", str(docs / "efail.map"), "--order", "2",
-                "--format", "json")
+    r = run_cli("newton", str(docs / "efail.map"), "--format", "json")
     payload = json.loads(r.stdout)
     assert payload["e_property"] is False
     assert payload["e_witness"] == {"walk_index": 0, "repeated_edge": "a"}
@@ -543,8 +542,7 @@ def test_json_output_is_json_dumps_indent_2(monkeypatch, docs):
     for path in maps:
         argvs += [[cmd, path, "--format", "json"] for cmd in
                   ("validate", "faces", "refine", "pgraph", "selfdual")]
-        argvs += [["newton", path, "--order", r, "--format", "json"] for r in "23"]
-        argvs.append(["export", path, "--to", "json"])
+        argvs += [["newton", path, "--format", "json"], ["export", path, "--to", "json"]]
     commands = set()
     for argv in argvs:
         del emitted[:]

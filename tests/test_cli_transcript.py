@@ -31,8 +31,7 @@ def invocations() -> list[list[str]]:
         out.append(["dual", f])
         out += [["pgraph", f, *fmt] for fmt in FORMATS] + [["pgraph", f, "--dot"]]
         out += [["canon", f], ["canon", f, "--op"]]
-        for order in ("2", "3"):
-            out += [["newton", f, "--order", order, *fmt] for fmt in FORMATS]
+        out += [["newton", f, *fmt] for fmt in FORMATS]
         out += [["export", f, "--to", to] for to in ("dot", "json", "doc")]
     for a, b in itertools.product(MAPS, repeat=2):
         out += [["iso", a, b], ["iso", a, b, "--op"]]

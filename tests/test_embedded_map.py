@@ -362,7 +362,7 @@ def test_frame_facts_are_never_stale(n2):
         for f in fields + fields[::-1]:
             m = EmbeddedMap(*f)  # a fresh map, so nothing is cached on it
             assert validate(m) == structure_report(m)
-            rep = is_newton(EmbeddedMap(*f), 2)
+            rep = is_newton(EmbeddedMap(*f))
             origin = f[3]
             assert rep.connected == validate(m).ok
             assert rep.loopless == (rep.connected
@@ -388,7 +388,7 @@ def test_disjoint_tori_are_disconnected():
     for m in maps:
         assert validate(m) == structure_report(m)
         assert [d.code for d in validate(m).defects] == ["disconnected"]
-        rep = is_newton(m, 4)
+        rep = is_newton(m)
         assert not rep.connected and rep.verdict == "not-newton"
 
 
@@ -414,7 +414,7 @@ def test_each_map_validates_and_traces_once(monkeypatch):
     sigma, phi = m.sigma, tuple(embedded_map._phi(m.sigma))
     assert validate(m).ok
     assert len(facial_walks(m)) == 3
-    rep = is_newton(m, 3)
+    rep = is_newton(m)
     assert rep.verdict == "newton"
     assert rep.e_property.holds and rep.degree_bounds
     canonical_key(m)

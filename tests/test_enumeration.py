@@ -182,7 +182,7 @@ def _scanned_vectors(order):
 
 def _accepted(order, mult):
     return [m for m in _vector_candidates(order, mult)
-            if validate(m).ok and is_newton(m, order).verdict != "not-newton"]
+            if validate(m).ok and is_newton(m).verdict != "not-newton"]
 
 
 @pytest.mark.parametrize("order, n_op", [(2, 1), (3, 14), (4, 47)])
@@ -391,7 +391,7 @@ def test_order3_representatives_are_canonical(atlas3):
         assert m == e.representative and serialize(m) == doc
         assert canonical_key(m, True) == e.key
         assert canonical_key(m, False) == e.key_op
-        assert is_newton(m, 3).verdict == "newton"
+        assert is_newton(m).verdict == "newton"
 
 
 def test_known_maps_hit_their_classes(case1, case3, atlas3):
@@ -441,7 +441,7 @@ def test_label_matching_rejects_one_wrong_count(monkeypatch, atlas3, counts):
 def test_enumeration_deduplicates_against_brute_force(atlas3):
     rng = random.Random(17)
     newts = [m for m in raw_candidates(3)
-             if is_newton(m, 3).verdict == "newton"]
+             if is_newton(m).verdict == "newton"]
     by_key = {e.key.hex(): e for e in atlas3}
     for m in rng.sample(newts, 60):
         entry = by_key[canonical_key(m, True).hex()]
@@ -514,7 +514,7 @@ def test_degree_pruning_loses_no_newton_map():
     assert len(dropped) == 6
     maps = [m for mult in sorted(dropped) for m in _vector_candidates(3, mult)]
     assert len(maps) == 17280
-    assert all(is_newton(m, 3).verdict == "not-newton" for m in maps)
+    assert all(is_newton(m).verdict == "not-newton" for m in maps)
 
 
 def test_unsupported_orders():

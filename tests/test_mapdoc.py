@@ -194,6 +194,15 @@ def test_map_to_dot(n2):
         '  "v1" -- "v2" [label="d"];\n'
         "}\n"
     )
+    with pytest.raises(ValueError, match="vertex ids 1 and '1' both print as '1'"):
+        map_to_dot(_alike_ids())
+
+
+def _alike_ids():
+    """Two vertices whose ids, 1 and "1", print alike; only the Python API
+    builds such a map."""
+    return make_map([("a", (1, "1")), ("b", (1, "1"))],
+                    {1: ["a", "b"], "1": ["b", "a"]})
 
 
 def test_map_to_json_dict(n2):
@@ -213,6 +222,8 @@ def test_map_to_json_dict(n2):
                        "rotations": {"x": ["a", "b"], "10": ["a", "b"]}}
     assert list(payload["rotations"]) == ["x", "10"]
     assert map_to_dot(mixed).splitlines()[1:3] == ['  "x";', '  "10";']
+    with pytest.raises(ValueError, match="vertex ids 1 and '1' both print as '1'"):
+        map_to_json_dict(_alike_ids())
 
 
 def test_exports_follow_the_document_order():

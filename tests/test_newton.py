@@ -15,7 +15,7 @@ from _oracle import newton_reference
 
 
 def test_n2_is_newton(n2):
-    rep = is_newton(n2, 2)
+    rep = is_newton(n2)
     assert rep.order == 2
     assert rep.connected
     assert rep.cellular_toroidal
@@ -29,13 +29,13 @@ def test_n2_is_newton(n2):
 
 def test_case1_case3_are_newton(case1, case3):
     for m in (case1, case3):
-        rep = is_newton(m, 3)
+        rep = is_newton(m)
         assert rep.verdict == "newton"
         assert rep.a_property_status == "implied-by-E"
 
 
 def test_e_property_witness():
-    full = is_newton(build_efail_n2(), 2)
+    full = is_newton(build_efail_n2())
     assert full.e_property.witness == EWitness(walk_index=0, repeated_edge="a")
     assert full.cellular_toroidal
     assert full.loopless
@@ -46,39 +46,33 @@ def test_e_property_witness():
 
 
 def test_e_property_passes(n2, case1):
-    assert is_newton(n2, 2).e_property.holds
-    assert is_newton(case1, 3).e_property.witness is None
+    assert is_newton(n2).e_property.holds
+    assert is_newton(case1).e_property.witness is None
 
 
 def test_sphere_is_not_newton():
-    rep = is_newton(build_sphere_n2(), 2)
+    rep = is_newton(build_sphere_n2())
     assert rep.connected
     assert not rep.cellular_toroidal
     assert rep.verdict == "not-newton"
 
 
 def test_loop_map_is_not_newton():
-    rep = is_newton(build_loop_map(), 2)
+    rep = is_newton(build_loop_map())
     assert not rep.loopless
-    assert rep.verdict == "not-newton"
-
-
-def test_wrong_order_is_not_newton(case1):
-    rep = is_newton(case1, 2)
-    assert not rep.cellular_toroidal
     assert rep.verdict == "not-newton"
 
 
 def test_invalid_map_short_circuits():
     from newtonmaps import EmbeddedMap
     bad = EmbeddedMap(("u",), ("a",), (0, 1), ("u", "u"))
-    rep = is_newton(bad, 1)
+    rep = is_newton(bad)
     assert not rep.connected
     assert rep.verdict == "not-newton"
 
 
 def test_order4_is_e_only():
-    rep = is_newton(build_grid4(), 4)
+    rep = is_newton(build_grid4())
     assert rep.cellular_toroidal
     assert rep.loopless
     assert rep.e_property.holds
@@ -88,11 +82,8 @@ def test_order4_is_e_only():
 
 
 def test_degree_bounds(n2, case1):
-    assert is_newton(n2, 2).degree_bounds
-    assert is_newton(case1, 3).degree_bounds
-    # against the wrong order the caps and sums cannot both work out
-    assert not is_newton(n2, 1).degree_bounds
-    assert not is_newton(case1, 2).degree_bounds
+    assert is_newton(n2).degree_bounds
+    assert is_newton(case1).degree_bounds
     # a looped map's vertex degrees are counted: u has degree 6 > 4 in the
     # first, and both vertices have degree 4 in the second
     docs = {("edge a u u\nedge b u u\nedge c u v\nedge d u v\n"
@@ -100,9 +91,9 @@ def test_degree_bounds(n2, case1):
             ("edge a u u\nedge b v v\nedge c u v\nedge d u v\n"
              "rot u a.0 c a.1 d\nrot v b.0 c b.1 d\n"): True}
     for doc, bounds in docs.items():
-        rep = is_newton(parse("order 2\n" + doc), 2)
+        rep = is_newton(parse("order 2\n" + doc))
         assert not rep.loopless and rep.degree_bounds == bounds
-        assert _report_fields(rep) == newton_reference("order 2\n" + doc, 2)
+        assert _report_fields(rep) == newton_reference("order 2\n" + doc)
 
 
 def _report_fields(rep) -> dict:
@@ -119,8 +110,8 @@ def test_is_newton_agrees_with_reference():
     for order, funnel in funnels.items():
         tally = Counter()
         for m in raw_candidates(order):
-            rep = is_newton(m, order)
-            assert _report_fields(rep) == newton_reference(serialize(m), order)
+            rep = is_newton(m)
+            assert _report_fields(rep) == newton_reference(serialize(m))
             stages = (True, rep.connected, rep.cellular_toroidal,
                       rep.e_property.holds, rep.degree_bounds,
                       rep.verdict == "newton")
@@ -140,15 +131,15 @@ def test_is_newton_agrees_with_reference():
         *head, last = doc.splitlines()
         rot, v, a, b, *rest = last.split()
         swapped = "\n".join([*head, " ".join([rot, v, b, a, *rest])]) + "\n"
-        docs += [(doc, k * l), (swapped, k * l)]
+        docs += [doc, swapped]
     for seed, n_edges in ((2, 60), (3, 150), (5, 45)):
         m = build_random_multigraph(random.Random(seed), n_edges)
         m = replace(m, edges=tuple(f"e{k:03d}" for k in range(m.n_edges)))
-        docs.append((serialize(m), m.order))
+        docs.append(serialize(m))
     verdicts = Counter()
-    for doc, order in docs:
-        rep = is_newton(parse(doc), order)
-        assert _report_fields(rep) == newton_reference(doc, order)
+    for doc in docs:
+        rep = is_newton(parse(doc))
+        assert _report_fields(rep) == newton_reference(doc)
         verdicts[rep.verdict, rep.e_property.witness is None] += 1
     assert verdicts == {("e-only", True): 5, ("not-newton", False): 8}
 
@@ -160,7 +151,7 @@ def test_witness_is_the_first_face_repeating_an_edge():
     several = 0
     for mult in sorted(dropped):
         for m in _vector_candidates(3, mult):
-            assert _report_fields(is_newton(m, 3)) == newton_reference(serialize(m), 3)
+            assert _report_fields(is_newton(m)) == newton_reference(serialize(m))
             several += sum(any(d ^ 1 in w for d in w) for w in facial_walks(m)) > 1
     assert several == 2880
 
@@ -174,9 +165,9 @@ def test_order4_candidates_agree_with_reference():
     tally = Counter()
     for mult in _multiplicity_vectors(4, 2):
         for m in islice(_vector_candidates(4, mult), 3):
-            rep = is_newton(m, 4)
+            rep = is_newton(m)
             if validate(m).ok:
-                assert _report_fields(rep) == newton_reference(serialize(m), 4)
+                assert _report_fields(rep) == newton_reference(serialize(m))
             else:
                 assert rep == invalid
             tally[rep.verdict, rep.connected] += 1
@@ -187,25 +178,25 @@ def test_order4_candidates_agree_with_reference():
 def test_is_newton_caches_nothing():
     """is_newton leaves on a map only what validation caches, and no faces."""
     fields = {"vertices", "edges", "sigma", "dart_origin"}
-    for build, order, holds in ((lambda: parse(fixture_text("case1.map")), 3, True),
-                                (build_efail_n2, 2, False)):
+    for build, holds in ((lambda: parse(fixture_text("case1.map")), True),
+                         (build_efail_n2, False)):
         m, validated = build(), build()
-        assert is_newton(m, order).e_property.holds == holds
-        assert is_newton(m, order) is is_newton(m, order)  # one shared report
+        assert is_newton(m).e_property.holds == holds
+        assert is_newton(m) is is_newton(m)  # one shared report
         validate(validated)
         assert vars(m).keys() == vars(validated).keys()
         assert vars(m).keys() - fields == {"_report", "_sigma_cycles"}
     # a vector's later candidates hold the first one's report, so nothing
     # but that report
     for m in islice(_vector_candidates(3, _multiplicity_vectors(3, 2)[0]), 1, 6):
-        is_newton(m, 3)
+        is_newton(m)
         assert vars(m).keys() - fields == {"_report"}
 
 
 def test_equal_outcomes_share_one_report():
     """The 9432 order-3 candidates have 35 distinct outcomes, and each
     outcome's report is one object."""
-    reports = [is_newton(m, 3) for m in raw_candidates(3)]
+    reports = [is_newton(m) for m in raw_candidates(3)]
     assert len(reports) == 9432
     assert len(set(reports)) == len({id(r) for r in reports}) == 35
 
@@ -224,6 +215,6 @@ def test_shared_witness_keeps_its_edge_type():
              (("a", (1.0, "x")), ("a", (1, "x")))]
     for pair in pairs + [pair[::-1] for pair in pairs]:
         for name in pair:
-            edge = is_newton(efail(name), 2).e_property.witness.repeated_edge
+            edge = is_newton(efail(name)).e_property.witness.repeated_edge
             assert type(edge) is type(name)
             assert repr(edge) == repr(name)
