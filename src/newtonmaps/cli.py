@@ -12,12 +12,10 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import json
 import os
 import sys
 from collections import Counter
 from dataclasses import asdict
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +29,8 @@ from .enumeration import (ClassificationMismatchError, UnsupportedOrderError,
                           atlas_from_jsonl, atlas_to_jsonl, classify,
                           enumerate_newton, report_to_json, self_duality,
                           verify_atlas)
-from .mapdoc import ParseError, map_to_dot, map_to_json_dict, parse, serialize
+from .mapdoc import (ParseError, _json_text, map_to_dot, map_to_json_dict, parse,
+                     serialize)
 from .newton import is_newton
 
 
@@ -41,29 +40,6 @@ def _load(path: str) -> EmbeddedMap:
 
 def _emit_json(payload: dict) -> None:
     print(_json_text(payload, "\n"))
-
-
-def _json_text(value, newline: str) -> str:
-    """json.dumps(value, sort_keys=True, indent=2), whose indent would select
-    json's pure-Python encoder; strings take its C escaper.  newline is the
-    line break plus the indent of value's own line."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is int:  # repr spells it as json does, and faster
-        return repr(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        brackets, items = "[]", [encode_basestring_ascii(v) if type(v) is str
-                                 else _json_text(v, inner) for v in value]
-    elif isinstance(value, dict):
-        brackets, items = "{}", [
-            encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
-            + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
-    else:
-        return json.dumps(value)  # True, False, None, floats
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -154,10 +130,9 @@ def cmd_refine(args) -> int:
 
 def cmd_pgraph(args) -> int:
     pg = abstract_p_graph(_load(args.file))
-    if args.dot:
+    if args.format == "dot":
         print(pg.to_dot(), end="")
-        return 0
-    if args.format == "json":
+    elif args.format == "json":
         _emit_json({
             "level1": [str(v) for v in pg.level1],
             "level2": [str(e) for e in pg.level2],
@@ -315,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(_command(sub, "refine", cmd_refine,
                          "sizes of the common refinement with the dual", "file"))
     s = _command(sub, "pgraph", cmd_pgraph, "abstract three-level digraph", "file")
-    s.add_argument("--dot", action="store_true", help="emit DOT")
-    _add_format(s)
+    s.add_argument("--format", choices=("text", "json", "dot"), default="text")
     _add_sense_flags(_command(sub, "canon", cmd_canon, "canonical key (hex)", "file"))
     _add_sense_flags(_command(sub, "iso", cmd_iso, "equivalence of two maps",
                               "a", "b"))

@@ -30,11 +30,13 @@ def dual(m: EmbeddedMap) -> EmbeddedMap:
 
 def _require_no_repeated_edge(m: EmbeddedMap) -> tuple[list[int], tuple]:
     """m's faces (face index of each dart, facial walks); refuses a face
-    repeating an edge."""
+    repeating an edge, and a repeated edge name, which names two crossings."""
     face, walks = _checked(m)._faces
     if any(map(eq, face[0::2], face[1::2])):
         raise MapStructureError(
             "refinement needs every facial walk to use each edge at most once")
+    if len(set(m.edges)) < len(m.edges):
+        raise MapStructureError("refinement needs distinct edge names")
     return face, walks
 
 
@@ -55,8 +57,6 @@ def refinement(m: EmbeddedMap) -> EmbeddedMap:
     vertices, 8r edges and 4r quadrilateral faces, one per corner of m.
     """
     face, walks = _require_no_repeated_edge(m)
-    if len(set(m.edges)) < len(m.edges):  # a crossing is named by its edge
-        raise MapStructureError("refinement needs distinct edge names")
     n = m.n_darts
     sigma = [0] * (4 * n)
     for d, s in enumerate(m.sigma):

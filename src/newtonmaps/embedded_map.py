@@ -54,9 +54,9 @@ class EmbeddedMap:
     vertices and edges are identifier tuples in display order; dart_origin
     maps each dart to the vertex it emanates from.  The edge pairing alpha
     is d -> d ^ 1 and is not stored.  The fields are immutable, so the
-    validation report, the faces (each dart's face index and the facial
-    walks, from one pass over phi) and the vertex rotations are computed
-    at most once per map and kept out of equality, hashing and repr.
+    validation report and the faces (each dart's face index and the facial
+    walks, from one pass over phi) are computed at most once per map and
+    kept out of equality, hashing and repr.
     """
 
     vertices: tuple
@@ -86,15 +86,6 @@ class EmbeddedMap:
         # face i is walk i: (each dart's face index, the facial walks)
         return _cycles(_phi(self.sigma))
 
-    @cached_property
-    def _sigma_cycles(self) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
-        return _cycles(self.sigma)  # read by validation and the rotations
-
-    @cached_property
-    def _rotations(self) -> dict:
-        # reversed, so a vertex keeps its first cycle, at its least dart
-        return {self.dart_origin[c[0]]: c for c in self._sigma_cycles[1][::-1]}
-
     @property
     def n_darts(self) -> int:
         return len(self.sigma)
@@ -112,10 +103,6 @@ class EmbeddedMap:
 
     def endpoints(self, edge_index: int) -> tuple:
         return (self.dart_origin[2 * edge_index], self.dart_origin[2 * edge_index + 1])
-
-    def rotation_at(self, vertex) -> tuple[int, ...]:
-        """The sigma-cycle at vertex, rotated to start at its smallest dart."""
-        return self._rotations[vertex]
 
 
 def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
@@ -254,7 +241,7 @@ def _structure_report(m: EmbeddedMap) -> ValidationReport:
     for v in m.vertices:
         if v not in degree:
             defects.append(Defect("isolated-vertex", f"vertex {v!r} has no darts"))
-    cycle_of, cycles = m._sigma_cycles
+    cycle_of, cycles = _cycles(sigma)
     if not mixes and len(cycles) != len(degree):
         defects.append(Defect("split-vertex",
                               "a vertex's darts form more than one sigma cycle"))

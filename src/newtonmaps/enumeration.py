@@ -39,7 +39,7 @@ from .canon import (CanonicalKey, canonical_key, _count_isomorphisms,
 from .duality import dual
 from .embedded_map import (EmbeddedMap, UnsuitableMapError, degree_sequence,
                            face_degree_sequence, facial_walks, mirror, validate)
-from .mapdoc import ParseError, parse, serialize
+from .mapdoc import ParseError, _json_text, parse, serialize
 from .newton import _accepted_verdict, is_newton
 
 
@@ -462,4 +462,4 @@ def verify_atlas(entries: Sequence[AtlasEntry]) -> None:
 
 
 def report_to_json(r: ClassificationReport) -> str:
-    return json.dumps(asdict(r), sort_keys=True, indent=2) + "\n"
+    return _json_text(asdict(r), "\n") + "\n"

@@ -21,9 +21,11 @@ list edges and vertices in the same name order.
 
 from __future__ import annotations
 
+import json
 import re
+from json.encoder import encode_basestring_ascii
 
-from .embedded_map import EmbeddedMap, MapStructureError, make_map
+from .embedded_map import EmbeddedMap, MapStructureError, _cycles, make_map
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -135,18 +137,25 @@ def _spell(word: str, ends: dict, line: int):
     return name
 
 
-def _dart_tokens(m: EmbeddedMap) -> list[str]:
-    """Each dart's rotation token: its edge's name, with .0 or .1 on a loop."""
-    origin = m.dart_origin
-    return [f"{m.edges[d // 2]}.{d % 2}" if origin[d] == origin[d ^ 1]
-            else str(m.edges[d // 2]) for d in range(m.n_darts)]
-
-
-def _rotation_tokens(m: EmbeddedMap, tokens: list[str], vertex) -> list[str]:
-    """The rotation at vertex as tokens, started at its least token."""
-    toks = [tokens[d] for d in m.rotation_at(vertex)]
-    start = toks.index(min(toks))
-    return toks[start:] + toks[:start]
+def _rotations(m: EmbeddedMap) -> dict:
+    """Each listed vertex's rotation as tokens, NAME or a loop's NAME.0 and
+    NAME.1, started at its least token.  Refuses a sigma that no document
+    can express: one that is not one cycle per listed vertex of its darts."""
+    origin, edges = m.dart_origin, m.edges
+    tokens = [f"{edges[d // 2]}.{d % 2}" if origin[d] == origin[d ^ 1]
+              else str(edges[d // 2]) for d in range(m.n_darts)]
+    table = dict.fromkeys(m.vertices)
+    for cyc in _cycles(m.sigma)[1]:
+        v = origin[cyc[0]]  # a second cycle at v, or one at an unlisted v
+        if table.get(v, cyc) is not None or any(origin[d] != v for d in cyc):
+            raise ValueError(f"sigma is not one cycle of the darts at vertex {v!r}")
+        toks = [tokens[d] for d in cyc]
+        start = toks.index(min(toks))
+        table[v] = toks[start:] + toks[:start]
+    for v, toks in table.items():
+        if toks is None:
+            raise ValueError(f"sigma is not one cycle of the darts at vertex {v!r}")
+    return table
 
 
 def _name_order(name: str) -> tuple[int, str]:
@@ -176,12 +185,14 @@ def serialize(m: EmbeddedMap) -> str:
     for e in m.edges:
         if not isinstance(e, str) or not _NAME_RE.match(e):
             raise ValueError(f"edge id {e!r} not serializable")
+    if len(set(m.edges)) < m.n_edges:
+        raise ValueError("edge ids repeat, so a document cannot tell them apart")
 
-    origin, tokens = m.dart_origin, _dart_tokens(m)
+    origin, rotations = m.dart_origin, _rotations(m)
     lines = [f"order {m.order}"]
     lines += [f"edge {m.edges[k]} {origin[2 * k]} {origin[2 * k + 1]}"
               for k in _edges_by_name(m)]
-    lines += [f"rot {vertex} " + " ".join(_rotation_tokens(m, tokens, vertex))
+    lines += [f"rot {vertex} " + " ".join(rotations[vertex])
               for vertex in sorted(m.vertices, key=_name_order)]
     return "\n".join(lines) + "\n"
 
@@ -199,9 +210,31 @@ def map_to_dot(m: EmbeddedMap) -> str:
 
 
 def map_to_json_dict(m: EmbeddedMap) -> dict:
-    tokens = _dart_tokens(m)
-    rotations = {text: _rotation_tokens(m, tokens, vertex)
-                 for text, vertex in _vertices_by_name(m)}
+    named, table = _vertices_by_name(m), _rotations(m)
+    rotations = {text: table[vertex] for text, vertex in named}
     edges = [[str(m.edges[k]), *map(str, m.endpoints(k))]
              for k in _edges_by_name(m)]
     return {"order": m.order, "edges": edges, "rotations": rotations}
+
+
+def _json_text(value, newline: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), whose indent would select
+    json's pure-Python encoder; strings take its C escaper.  newline is the
+    line break plus the indent of value's own line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:  # repr spells it as json does, and faster
+        return repr(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", [encode_basestring_ascii(v) if type(v) is str
+                                 else _json_text(v, inner) for v in value]
+    elif isinstance(value, dict):
+        brackets, items = "{}", [
+            encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+            + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+    else:
+        return json.dumps(value)  # True, False, None, floats
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]

@@ -54,9 +54,11 @@ def test_module_entry_point_exit_codes():
 
 
 def test_usage_errors():
-    # a map states its order, and reflection is the default sense
+    # a map states its order, reflection is the default sense, and pgraph
+    # takes DOT as a --format
     for argv in ((), ("no-such-command",), ("newton", N2, "--order", "2"),
-                 ("canon", N2, "--reflect"), ("iso", N2, N2, "--reflect")):
+                 ("canon", N2, "--reflect"), ("iso", N2, N2, "--reflect"),
+                 ("pgraph", N2, "--dot")):
         assert run_cli(*argv).code == 2
 
 

@@ -29,7 +29,7 @@ def invocations() -> list[list[str]]:
         for cmd in ("validate", "faces", "refine", "selfdual"):
             out += [[cmd, f, *fmt] for fmt in FORMATS]
         out.append(["dual", f])
-        out += [["pgraph", f, *fmt] for fmt in FORMATS] + [["pgraph", f, "--dot"]]
+        out += [["pgraph", f, *fmt] for fmt in FORMATS + [["--format", "dot"]]]
         out += [["canon", f], ["canon", f, "--op"]]
         out += [["newton", f, *fmt] for fmt in FORMATS]
         out += [["export", f, "--to", to] for to in ("dot", "json", "doc")]

@@ -10,6 +10,7 @@ from newtonmaps import (MapStructureError, abstract_p_graph, are_equivalent,
                         canonical_key, degree_sequence, dual,
                         euler_characteristic, face_degree_sequence,
                         facial_walks, make_map, refinement, serialize)
+from newtonmaps.embedded_map import _cycles
 
 CASE1_DUAL_DOC = (
     "order 3\n"
@@ -138,8 +139,8 @@ def _refinement_from_tokens(m):
              for d in range(m.n_darts)]
     edges += [(("g", d), (("s", m.edge_of(d)), ("f", face[d] + 1)))
               for d in range(m.n_darts)]
-    rotations = {("v", v): [(("h", d), 0) for d in m.rotation_at(v)]
-                 for v in m.vertices}
+    cycle = {m.dart_origin[c[0]]: c for c in _cycles(m.sigma)[1]}
+    rotations = {("v", v): [(("h", d), 0) for d in cycle[v]] for v in m.vertices}
     for k, e in enumerate(m.edges):
         rotations[("s", e)] = [(("h", 2 * k), 1), (("g", 2 * k), 0),
                                (("h", 2 * k + 1), 1), (("g", 2 * k + 1), 0)]
@@ -154,9 +155,11 @@ def test_refinement_is_its_token_built_map(n2, case1, case3):
     # built directly, a map may name two edges alike; their crossings
     # would then be one vertex
     twice = dataclasses.replace(case1, edges=case1.edges[:-1] + case1.edges[:1])
-    for refine in (refinement, _refinement_from_tokens):
-        with pytest.raises(MapStructureError):
-            refine(twice)
+    with pytest.raises(MapStructureError):
+        _refinement_from_tokens(twice)
+    for build in (refinement, abstract_p_graph):
+        with pytest.raises(MapStructureError, match="distinct edge names"):
+            build(twice)
 
 
 def test_refinement_rejects_edge_repeating_walks():

@@ -13,6 +13,7 @@ from newtonmaps import (EmbeddedMap, MapStructureError, abstract_p_graph,
                         face_degree_sequence, facial_walks, genus, is_newton,
                         make_map, mirror, parse, refinement, relabel,
                         validate)
+from newtonmaps.embedded_map import _cycles
 from newtonmaps.enumeration import _multiplicity_vectors, _vector_candidates
 from _oracle import (circuit_multiset, euler_from_doc, structure_report,
                      walk_circuits)
@@ -35,8 +36,7 @@ def test_dart_layout(n2):
 def test_rotation_and_degree(n2):
     assert tuple(d for d in range(n2.n_darts)
                  if n2.dart_origin[d] == "v1") == (0, 2, 4, 6)
-    assert n2.rotation_at("v1") == (0, 2, 4, 6)
-    assert n2.rotation_at("v2") == (1, 3, 5, 7)
+    assert _cycles(n2.sigma)[1] == ((0, 2, 4, 6), (1, 3, 5, 7))
     assert n2.dart_origin.count("v1") == 4
     assert degree_sequence(n2) == (4, 4)
 
@@ -112,7 +112,8 @@ def test_make_map_loop_needs_selector():
         make_map(edges, {"u": ["a", "a", "b"], "v": ["b"]})
     m = make_map(edges, {"u": [("a", 0), ("a", 1), "b"], "v": ["b"]})
     assert m.n_darts == 4
-    assert m.rotation_at("u") == (0, 1, 2)
+    assert m.dart_origin == ("u", "u", "u", "v")
+    assert _cycles(m.sigma)[1] == ((0, 1, 2), (3,))
     # an explicit end is allowed on a non-loop edge too
     assert make_map(edges, {"u": [("a", 0), ("a", 1), ("b", 0)], "v": ["b"]}) == m
 
@@ -121,7 +122,8 @@ def test_make_map_reads_a_tuple_token_as_name_and_end():
     # ("a", 0) is end 0 of edge "a", even beside an edge named ("a", 0)
     edges = [("a", ("u", "v")), (("a", 0), ("u", "v"))]
     m = make_map(edges, {"u": [("a", 0), (("a", 0), 0)], "v": ["a", (("a", 0), 1)]})
-    assert (m.rotation_at("u"), m.rotation_at("v")) == ((0, 2), (1, 3))
+    assert m.dart_origin == ("u", "v", "u", "v")
+    assert _cycles(m.sigma)[1] == ((0, 2), (1, 3))
 
 
 def test_make_map_bad_selector():
@@ -446,7 +448,7 @@ def test_genus_rejects_odd_characteristic(n2):
 def test_mirror_involution(n2, case1):
     for m in (n2, case1, build_efail_n2()):
         assert mirror(mirror(m)) == m
-    assert mirror(n2).rotation_at("v1") == (0, 6, 4, 2)
+    assert _cycles(mirror(n2).sigma)[1] == ((0, 6, 4, 2), (1, 7, 5, 3))
 
 
 def test_relabel_explicit(n2):

@@ -33,7 +33,7 @@ def test_parse_n2_structure():
     m = parse(N2_DOC)
     assert m.vertices == ("v1", "v2")
     assert m.edges == ("a", "b", "c", "d")
-    assert m.rotation_at("v1") == (0, 2, 4, 6)
+    assert m.dart_origin == ("v1", "v2") * 4
     assert m.sigma == (2, 3, 4, 5, 6, 7, 0, 1)
 
 
@@ -174,6 +174,14 @@ def test_serialize_orders_edge_lines():
     assert lines[5] == "rot v1 a d c b"
 
 
+# n2 as only the Python API builds it, whose sigma is not one cycle per
+# listed vertex of that vertex's darts, and the vertex each writer names
+UNWRITABLE = [({"sigma": (2, 3, 0, 5, 6, 7, 4, 1)}, "v1"),  # splits v1
+              ({"sigma": (3, 2, 4, 5, 6, 7, 0, 1)}, "v1"),  # mixes v1 and v2
+              ({"vertices": ("v1", "v2", "v3")}, "v3"),  # v3 has no darts
+              ({"dart_origin": ("v1", "v9") * 4}, "v9")]  # v9 is not listed
+
+
 def test_serialize_requires_plain_names(n2):
     with pytest.raises(ValueError, match="not serializable"):
         serialize(refinement(n2))
@@ -181,6 +189,11 @@ def test_serialize_requires_plain_names(n2):
         m = dataclasses.replace(n2, edges=n2.edges[:-1] + (name,))
         with pytest.raises(ValueError, match=f"edge id {name!r} not serializable"):
             serialize(m)
+    with pytest.raises(ValueError, match="edge ids repeat"):
+        serialize(dataclasses.replace(n2, edges=("a", "a", "c", "d")))
+    for change, vertex in UNWRITABLE:
+        with pytest.raises(ValueError, match=f"at vertex {vertex!r}"):
+            serialize(dataclasses.replace(n2, **change))
 
 
 def test_map_to_dot(n2):
@@ -224,6 +237,9 @@ def test_map_to_json_dict(n2):
     assert map_to_dot(mixed).splitlines()[1:3] == ['  "x";', '  "10";']
     with pytest.raises(ValueError, match="vertex ids 1 and '1' both print as '1'"):
         map_to_json_dict(_alike_ids())
+    for change, vertex in UNWRITABLE:
+        with pytest.raises(ValueError, match=f"at vertex {vertex!r}"):
+            map_to_json_dict(dataclasses.replace(n2, **change))
 
 
 def test_exports_follow_the_document_order():

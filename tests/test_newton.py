@@ -185,7 +185,7 @@ def test_is_newton_caches_nothing():
         assert is_newton(m) is is_newton(m)  # one shared report
         validate(validated)
         assert vars(m).keys() == vars(validated).keys()
-        assert vars(m).keys() - fields == {"_report", "_sigma_cycles"}
+        assert vars(m).keys() - fields == {"_report"}
     # a vector's later candidates hold the first one's report, so nothing
     # but that report
     for m in islice(_vector_candidates(3, _multiplicity_vectors(3, 2)[0]), 1, 6):
