@@ -8,12 +8,18 @@ each multigraph, all rotation systems with the first dart of every
 vertex rotation fixed (global canonical deduplication absorbs the
 rotational redundancy).  A vector's candidates share one validation
 report, since the vector decides it.  Kept maps are those whose Newton
-verdict passes.  Workers key kept maps in the orientation-preserving
-(OP) sense, which searches one chirality, until a certificate is met: by
-orbit-stabilizer, the OP classes found, weighted by their automorphism
-counts, account for every kept map of the vector (see _scan_vector).
-The OP classes are then joined into reflection-allowed classes, each
-recording how many OP classes it holds.
+verdict passes.  Every vector is scanned, but only the least vector of
+each S_r orbit is keyed: relabeling the vertices maps a vector's
+candidates one-to-one onto its image's, and keys carry no labels, so
+every other vector only reports how many maps it kept, which must equal
+its representative's count.  Workers key kept maps in the
+orientation-preserving (OP) sense, which searches one chirality, until a
+certificate is met: by orbit-stabilizer, the OP classes found, weighted
+by their automorphism counts, account for every kept map of the vector
+(see _scan_vector).  Tasks go out in falling candidate count, so the
+pool is not left waiting on a large vector handed out last.  The OP
+classes are then joined into reflection-allowed classes, each recording
+how many OP classes it holds.
 
 Everything downstream of the candidate stream is deterministic: class
 representatives are decoded from their canonical keys, so the atlas
@@ -127,8 +133,9 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
     yield from first._siblings(sigmas)
 
 
-def _scan_vector(args) -> set:
-    """Worker: the OP key traces of one vector's Newton maps.
+def _scan_vector(task) -> tuple[int, set]:
+    """Worker: one vector's accepted-candidate count, and the OP key traces
+    of its Newton maps if the task asks for keys (else an empty set).
 
     The vertex relabelings that fix the vector, each with every
     relabeling of the parallel edges, permute its candidates, and their
@@ -136,14 +143,18 @@ def _scan_vector(args) -> set:
     automorphisms holds _relabelings(v)/|Aut+| of the accepted
     candidates.  So the accepted candidates are keyed in order only until
     the classes found hold all of them.
-    Keys carry no labels, so the union of the results of any partition
-    of the vectors is the same set.
+    Keys carry no labels, and relabeling the vertices maps a vector's
+    candidates one-to-one onto its image's, so one vector per S_r orbit
+    is keyed; the union of the results of any partition of those vectors
+    is the same set.
     """
-    order, mult = args
+    order, mult, keyed = task
     # validate looks up the vector's one report and is_newton refuses what it
     # refuses, but perfbench's traced funnel counts these calls (ROADMAP item 1b)
     accepted = [m for m in _vector_candidates(order, mult)
                 if validate(m).ok and is_newton(m).verdict != "not-newton"]
+    if not keyed:
+        return len(accepted), set()
     weight = _relabelings(order, mult)
     left = len(accepted)  # accepted candidates in no class found yet
     found = set()
@@ -168,18 +179,46 @@ def _scan_vector(args) -> set:
         raise ClassificationMismatchError(
             f"vector {mult}: classes hold {len(accepted) - left} of its "
             f"{len(accepted)} accepted candidates")
-    return found
+    return len(accepted), found
+
+
+def _pair_permutations(order: int) -> list[tuple[int, ...]]:
+    """Each vertex permutation as it acts on a vector's pair positions:
+    the vector's image under it is tuple(mult[k] for k in the permutation)."""
+    pairs = list(combinations(range(order), 2))
+    index = {p: k for k, p in enumerate(pairs)}
+    return [tuple(index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs)
+            for p in permutations(range(order))]
+
+
+def _orbit_representatives(order: int, vectors: Sequence[tuple[int, ...]]
+                            ) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each of the sorted vectors mapped to the least vector of its S_r
+    orbit.  In one pass, the first vector not yet seen is the least of its
+    orbit, and its r! images are the orbit."""
+    rep = {}
+    images = _pair_permutations(order)
+    for mult in vectors:
+        if mult not in rep:
+            for image in images:
+                rep.setdefault(tuple(map(mult.__getitem__, image)), mult)
+    return rep
 
 
 def _relabelings(order: int, mult: tuple[int, ...]) -> int:
     """stab(v)·∏ m_ij!: the vertex permutations that fix vector mult, each
     with every permutation of the parallel edges of each pair."""
-    pairs = list(combinations(range(order), 2))
-    index = {p: k for k, p in enumerate(pairs)}
-    stab = sum(all(mult[index[min(p[i], p[j]), max(p[i], p[j])]] == c
-                   for (i, j), c in zip(pairs, mult))
-               for p in permutations(range(order)))
+    stab = sum(tuple(map(mult.__getitem__, image)) == mult
+               for image in _pair_permutations(order))
     return stab * prod(map(factorial, mult))
+
+
+def _candidate_count(order: int, mult: tuple[int, ...]) -> int:
+    """∏ (deg v - 1)!: the vector's rotation systems, one dart of each
+    vertex pinned."""
+    pairs = list(combinations(range(order), 2))
+    return prod(factorial(sum(c for p, c in zip(pairs, mult) if v in p) - 1)
+                for v in range(order))
 
 
 def _resolve_jobs(jobs: int, n_tasks: int) -> int:
@@ -201,7 +240,11 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
     if _accepted_verdict(order) == "e-only":
         warnings.warn(f"order {order}: angle condition unavailable; "
                       "running in e-only mode", stacklevel=2)
-    tasks = [(order, mult) for mult in _multiplicity_vectors(order, 2)]
+    vectors = _multiplicity_vectors(order, 2)
+    rep = _orbit_representatives(order, vectors)
+    # largest first, so no big task is handed out last
+    tasks = sorted(((order, mult, rep[mult] == mult) for mult in vectors),
+                   key=lambda t: (-_candidate_count(order, t[1]), t[1]))
     jobs = _resolve_jobs(jobs, len(tasks))
     if jobs == 1:
         results = map(_scan_vector, tasks)
@@ -209,7 +252,14 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_scan_vector, tasks))
-    op_traces = set().union(*results)
+    scanned = {mult: result for (_, mult, _), result in zip(tasks, results)}
+    for mult, (count, _) in scanned.items():
+        # a relabeling maps the vector's candidates onto its representative's
+        if count != scanned[rep[mult]][0]:
+            raise ClassificationMismatchError(
+                f"vector {mult}: {count} accepted candidates, but its orbit's "
+                f"representative {rep[mult]} has {scanned[rep[mult]][0]}")
+    op_traces = set().union(*(traces for _, traces in scanned.values()))
     traces = {canonical_key(_map_from_trace(t), True).trace for t in op_traces}
     entries = _derive_atlas([_map_from_trace(t) for t in sorted(traces)])
     n_op = sum(e.op_forms for e in entries)  # each from its representative

@@ -185,6 +185,8 @@ def serialize(m: EmbeddedMap) -> str:
     for e in m.edges:
         if not isinstance(e, str) or not _NAME_RE.match(e):
             raise ValueError(f"edge id {e!r} not serializable")
+    if len(set(m.vertices)) < m.order:
+        raise ValueError("vertex ids repeat, so a document cannot tell them apart")
     if len(set(m.edges)) < m.n_edges:
         raise ValueError("edge ids repeat, so a document cannot tell them apart")
 

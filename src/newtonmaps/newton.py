@@ -59,7 +59,7 @@ class NewtonReport:
     verdict: str  # newton | e-only | not-newton
 
 
-@lru_cache(maxsize=1024, typed=True)
+@lru_cache(maxsize=1024)
 def _report(order: int, connected: bool, toroidal: bool, loopless: bool,
             f: Optional[int], edge: object, bounds: bool) -> NewtonReport:
     """One outcome's report, built once and shared (reports are frozen).  f is

@@ -72,7 +72,7 @@ EQUIVALENT = {
         "an empty trace passes the width check at -1 + 1 and at -2 + 1 alike",
     ("embedded_map", "return (2 - euler_characteristic(m)) // 2", "2 -> 3", 0):
         "a valid map's characteristic is even",
-    ("newton", "@lru_cache(maxsize=1024, typed=True)", "1024 -> 1025", 0):
+    ("newton", "@lru_cache(maxsize=1024)", "1024 -> 1025", 0):
         "the cache size changes only speed",
     ("enumeration", "rotations = [[tuple(n for _, n in sorted(zip(c, c[1:] + c[:1]))) "
      "for c in cs]", "1 -> 2", 1):

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import warnings
 from collections import Counter
 
 import pytest
@@ -21,7 +22,8 @@ from newtonmaps import (ClassificationMismatchError, EmbeddedMap, SelfDuality,
 from newtonmaps import embedded_map, enumeration as en
 from newtonmaps.canon import _count_isomorphisms, _map_from_trace
 from newtonmaps.embedded_map import _cycles, _structure_report
-from newtonmaps.enumeration import (_multiplicity_vectors, _relabelings,
+from newtonmaps.enumeration import (_multiplicity_vectors,
+                                    _orbit_representatives, _relabelings,
                                     _resolve_jobs, _scan_vector,
                                     _vector_candidates, label_atlas)
 
@@ -162,7 +164,7 @@ def test_scan_builds_one_report_per_vector(monkeypatch):
                         lambda m: origins.append(m.dart_origin) or real(m))
     vectors = _multiplicity_vectors(3, 2)
     for mult in vectors:
-        _scan_vector((3, mult))
+        _scan_vector((3, mult, True))
     assert len(vectors) == len(origins) == len(set(origins)) == 19
 
 
@@ -190,11 +192,11 @@ def test_op_keyed_scan_matches_reflection_keys(order, n_op, request):
     """The scan, which stops keying a vector once its classes hold every
     accepted candidate, finds the OP classes that keying every accepted
     candidate finds; keyed with reflection allowed, they are the atlas's
-    classes."""
+    classes.  Every vector is keyed here, representative or not."""
     vectors = _scanned_vectors(order)
     accepted = [m for mult in vectors for m in _accepted(order, mult)]
     every = {canonical_key(m, True) for m in accepted}
-    op = set().union(*(_scan_vector((order, mult)) for mult in vectors))
+    op = set().union(*(_scan_vector((order, mult, True))[1] for mult in vectors))
     assert op == {canonical_key(m, False).trace for m in accepted}
     assert len(op) == n_op
     assert {canonical_key(_map_from_trace(t), True) for t in op} == every
@@ -237,10 +239,11 @@ def test_scan_keys_until_the_classes_hold_every_candidate(monkeypatch):
         return canonical_key(m, allow_reflection)
 
     monkeypatch.setattr(en, "canonical_key", counting)
-    for order, keys in ((2, 1), (3, 140)):  # of 6 and 1372 accepted
+    for order, keys in ((2, 1), (3, 31)):  # of 6 and 1372 accepted
         keyed.clear()
-        for mult in _multiplicity_vectors(order, 2):
-            _scan_vector((order, mult))
+        rep = _orbit_representatives(order, _multiplicity_vectors(order, 2))
+        for mult, least in rep.items():
+            _scan_vector((order, mult, mult == least))
         assert len(keyed) == keys
 
 
@@ -264,20 +267,99 @@ def test_misweighted_vector_is_a_mismatch(monkeypatch, scale, reason):
     monkeypatch.setattr(en, "_relabelings",
                         lambda order, mult: int(_relabelings(order, mult) * scale))
     with pytest.raises(ClassificationMismatchError, match=reason):
-        _scan_vector((3, (2, 2, 2)))
+        _scan_vector((3, (2, 2, 2), True))
 
 
 def test_missing_op_class_is_a_mismatch(monkeypatch):
     # drop one mirror form of a chiral class: every reflection class is
     # still found, but 13 OP keys no longer match the classes' 14 forms
     import newtonmaps.enumeration as en
-    op = set().union(*(_scan_vector((3, mult)) for mult in _multiplicity_vectors(3, 2)))
+    op = set().union(*(_scan_vector((3, mult, True))[1]
+                       for mult in _multiplicity_vectors(3, 2)))
     refl = {t: canonical_key(_map_from_trace(t), True) for t in op}
     forms = Counter(refl.values())
     dropped = next(t for t, key in refl.items() if forms[key] == 2)
-    monkeypatch.setattr(en, "_scan_vector", lambda args: _scan_vector(args) - {dropped})
+
+    def dropping(task):
+        count, traces = _scan_vector(task)
+        return count, traces - {dropped}
+
+    monkeypatch.setattr(en, "_scan_vector", dropping)
     with pytest.raises(ClassificationMismatchError, match="13 OP keys, 14 OP forms"):
         en.enumerate_newton(3)
+
+
+def _vertex_images(order, mult):
+    """The vector's images under every vertex permutation, by relabeling
+    its multigraph's edges."""
+    pairs = list(itertools.combinations(range(order), 2))
+    edges = [p for p, c in zip(pairs, mult) for _ in range(c)]
+    images = set()
+    for perm in itertools.permutations(range(order)):
+        moved = Counter(tuple(sorted((perm[i], perm[j]))) for i, j in edges)
+        images.add(tuple(moved[p] for p in pairs))
+    return images
+
+
+@pytest.mark.parametrize("order, n_orbits", [(3, 5), (4, 46)])
+def test_one_representative_per_orbit(order, n_orbits):
+    vectors = _multiplicity_vectors(order, 2)
+    rep = _orbit_representatives(order, vectors)
+    assert sorted(rep) == vectors
+    sizes = Counter(rep.values())
+    assert len(sizes) == n_orbits and sum(sizes.values()) == len(vectors)
+    for mult in vectors:
+        images = _vertex_images(order, mult)
+        assert rep[mult] == min(images)
+        if rep[mult] == mult:
+            assert sizes[mult] == len(images)
+
+
+def test_miscounted_non_representative_is_a_mismatch(monkeypatch, tmp_path):
+    # (4, 2, 0) relabels (0, 2, 4), the least of its orbit, so both have
+    # the same accepted count
+    rep = _orbit_representatives(3, _multiplicity_vectors(3, 2))
+    assert rep[4, 2, 0] == (0, 2, 4)
+
+    def miscounting(task):
+        count, traces = _scan_vector(task)
+        return count + (task[1] == (4, 2, 0)), traces
+
+    monkeypatch.setattr(en, "_scan_vector", miscounting)
+    with pytest.raises(ClassificationMismatchError,
+                       match=r"vector \(4, 2, 0\): 121 .* \(0, 2, 4\) has 120"):
+        en.enumerate_newton(3)
+    code, _, err = run_cli("classify", "--order", "3", "--out", str(tmp_path))
+    assert code == 4
+    assert "internal consistency failure: vector (4, 2, 0)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _candidate_counts(order, mult):
+    """∏ (deg v - 1)! from the vector's degree sequence."""
+    deg = Counter()
+    for p, c in zip(itertools.combinations(range(order), 2), mult):
+        for v in p:
+            deg[v] += c
+    return math.prod(math.factorial(deg[v] - 1) for v in range(order))
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_tasks_reach_the_pool_largest_first(monkeypatch, order):
+    """The tasks come in falling candidate count, ties in vector order,
+    each keyed iff its vector is its orbit's representative."""
+    seen = []
+    monkeypatch.setattr(en, "_scan_vector", lambda task: seen.append(task) or (0, set()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # order 4 is e-only
+        assert en.enumerate_newton(order) == ()
+    vectors = _multiplicity_vectors(order, 2)
+    if order == 3:  # the counts are the candidates' own
+        sizes = {mult: len(list(_vector_candidates(3, mult))) for mult in vectors}
+        assert sizes == {mult: _candidate_counts(3, mult) for mult in vectors}
+    rep = _orbit_representatives(order, vectors)
+    assert seen == [(order, mult, rep[mult] == mult) for mult in sorted(
+        vectors, key=lambda mult: (-_candidate_counts(order, mult), mult))]
 
 
 def test_order2_atlas(atlas2):
@@ -502,10 +584,6 @@ def test_resolve_jobs_is_clamped(monkeypatch):
     assert _resolve_jobs(-5, 0) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _resolve_jobs(10**6, 19) == 1
-
-
-def test_parallel_enumeration_matches(atlas2):
-    assert atlas_to_jsonl(enumerate_newton(2, jobs=2)) == atlas_to_jsonl(atlas2)
 
 
 def test_degree_pruning_loses_no_newton_map():

@@ -191,6 +191,8 @@ def test_serialize_requires_plain_names(n2):
             serialize(m)
     with pytest.raises(ValueError, match="edge ids repeat"):
         serialize(dataclasses.replace(n2, edges=("a", "a", "c", "d")))
+    with pytest.raises(ValueError, match="vertex ids repeat"):
+        serialize(dataclasses.replace(n2, vertices=("v1", "v2", "v2")))
     for change, vertex in UNWRITABLE:
         with pytest.raises(ValueError, match=f"at vertex {vertex!r}"):
             serialize(dataclasses.replace(n2, **change))
