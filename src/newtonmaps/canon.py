@@ -205,14 +205,14 @@ def _map_from_trace(trace: tuple[int, ...]) -> EmbeddedMap:
     """
     n = len(trace) // 2
     sigma, alpha = trace[0::2], trace[1::2]
-    dart = [0] * n  # trace dart -> map dart
+    dart = [None] * n  # trace dart -> map dart
     pairs = [d for d in range(n) if d < alpha[d]]
     for k, d in enumerate(pairs):
         dart[d], dart[alpha[d]] = 2 * k, 2 * k + 1
     vertex, cycles = _cycles(sigma)
     vertices = tuple(f"v{i + 1}" for i in range(len(cycles)))
     origin: list = [None] * n
-    new_sigma = [0] * n
+    new_sigma = [None] * n
     for d in range(n):
         origin[dart[d]] = vertices[vertex[d]]
         new_sigma[dart[d]] = dart[sigma[d]]

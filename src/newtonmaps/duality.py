@@ -58,7 +58,7 @@ def refinement(m: EmbeddedMap) -> EmbeddedMap:
     """
     face, walks = _require_no_repeated_edge(m)
     n = m.n_darts
-    sigma = [0] * (4 * n)
+    sigma = [None] * (4 * n)
     for d, s in enumerate(m.sigma):
         sigma[2 * d], sigma[2 * d + 1] = 2 * s, 2 * (n + d)
         sigma[2 * (n + d)] = 2 * (d ^ 1) + 1

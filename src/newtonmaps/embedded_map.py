@@ -116,25 +116,23 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
     names in its vertex or edge attribute the rotation or edge declaration
     at fault.
     """
-    ends = {}
-    # (token, vertex) -> dart; a (name, end) pair's entry is ~dart, so that a
-    # hit by (name, True) or (name, 1.0), equal to (name, 1), is refused
-    table = {}
+    ends = {}  # name -> (k, u, v)
+    table = {}  # (name, vertex) -> dart, for a plain name at a non-loop edge's end
     for k, (name, (u, v)) in enumerate(edges):
         try:
             if name in ends:
                 raise _fault(f"duplicate edge name {name!r}", edge=name)
-            ends[name] = (u, v)
+            ends[name] = (k, u, v)
             if u != v and not isinstance(name, tuple):
                 table[name, u], table[name, v] = 2 * k, 2 * k + 1
-            else:  # a loop's or a tuple name's darts take (name, end) tokens only
-                table[(name, 0), u], table[(name, 1), v] = ~(2 * k), ~(2 * k + 1)
+            else:  # (name, end) tokens only, but an unhashable end is refused too
+                hash((u, v))
         except TypeError:
             raise _fault(f"edge declaration {(name, (u, v))!r} is unhashable",
                          edge=name) from None
 
     n = 2 * len(ends)
-    sigma = [-1] * n + [None]  # slot n keeps a rotation's first dart
+    sigma = [None] * n + [None]  # slot n keeps a rotation's first dart
     origin: list = [None] * n
     for vertex, tokens in rotations.items():
         last = n
@@ -143,10 +141,8 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
                 d = table.get((tok, vertex))
             except TypeError:
                 raise _fault(f"token {tok!r} at {vertex!r} is unhashable", vertex) from None
-            if d is None or d < 0 and type(tok[1]) is not int:
+            if d is None:
                 d = _resolve(tok, vertex, ends)
-            if d < 0:
-                d = ~d
             if origin[d] is not None:
                 name = tok[0] if isinstance(tok, tuple) else tok
                 raise _fault(f"dart of edge {name!r} listed twice "
@@ -164,8 +160,8 @@ def make_map(edges: Sequence[tuple], rotations: Mapping) -> EmbeddedMap:
 
 def _resolve(tok, vertex, ends: dict) -> int:
     """The dart of a token make_map's table lacks, or the fault that forbids
-    tok; only a (name, end) pair on a plain non-loop edge has a dart here,
-    since the table holds every other token that names one."""
+    tok: only a (name, end) pair names a dart here, since the table holds
+    every plain name that names one."""
     pair = isinstance(tok, tuple)
     if pair and len(tok) != 2:
         raise _fault(f"token {tok!r} at vertex {vertex!r} is not a "
@@ -173,7 +169,7 @@ def _resolve(tok, vertex, ends: dict) -> int:
     name, end = tok if pair else (tok, None)
     if name not in ends:
         raise _fault(f"unknown edge {name!r} at vertex {vertex!r}", vertex)
-    u, v = ends[name]
+    k, u, v = ends[name]
     if not pair:
         if u == v:
             raise _fault(f"loop {name!r} needs an end selector in the "
@@ -182,7 +178,7 @@ def _resolve(tok, vertex, ends: dict) -> int:
     if type(end) is not int or end not in (0, 1):
         raise _fault(f"bad end selector {end!r} for edge {name!r}", vertex)
     if (u, v)[end] == vertex:
-        return 2 * list(ends).index(name) + end
+        return 2 * k + end
     raise _fault(f"edge {name!r} end {end} belongs to vertex {(u, v)[end]!r}, "
                  f"so it is not incident to vertex {vertex!r}", vertex)
 
@@ -197,12 +193,12 @@ def _cycles(perm) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     """Each element's cycle index, and the cycles of a permutation of
     range(len(perm)): each cycle starts at its least element, and the
     cycles are numbered and listed by that element."""
-    label = [-1] * len(perm)
+    label = [None] * len(perm)
     cycles = []
     for start in range(len(perm)):
-        if label[start] < 0:
+        if label[start] is None:
             i, cyc, d = len(cycles), [], start
-            while label[d] < 0:
+            while label[d] is None:
                 label[d] = i
                 cyc.append(d)
                 d = perm[d]
@@ -294,7 +290,7 @@ def facial_walks(m: EmbeddedMap) -> tuple[tuple[int, ...], ...]:
 
 def _phi(sigma) -> list[int]:
     """The face permutation phi = sigma o alpha: phi(d) = sigma(d ^ 1)."""
-    phi = [0] * len(sigma)
+    phi = [None] * len(sigma)
     phi[0::2] = sigma[1::2]
     phi[1::2] = sigma[0::2]
     return phi
@@ -320,7 +316,7 @@ def face_degree_sequence(m: EmbeddedMap) -> tuple[int, ...]:
 
 def mirror(m: EmbeddedMap) -> EmbeddedMap:
     """The reflected map: every vertex rotation reversed."""
-    inv = [0] * m.n_darts
+    inv = [None] * m.n_darts
     for d in range(m.n_darts):
         inv[m.sigma[d]] = d
     return EmbeddedMap(m.vertices, m.edges, tuple(inv), m.dart_origin)
@@ -340,7 +336,7 @@ def relabel(m: EmbeddedMap, rng: random.Random) -> EmbeddedMap:
     # old dart -> new dart
     perm = [2 * pos[d // 2] + (d % 2 ^ flips[d // 2]) for d in range(m.n_darts)]
     n = m.n_darts
-    sigma = [0] * n
+    sigma = [None] * n
     origin: list = [None] * n
     for d in range(n):
         sigma[perm[d]] = perm[m.sigma[d]]

@@ -8,18 +8,20 @@ each multigraph, all rotation systems with the first dart of every
 vertex rotation fixed (global canonical deduplication absorbs the
 rotational redundancy).  A vector's candidates share one validation
 report, since the vector decides it.  Kept maps are those whose Newton
-verdict passes.  Every vector is scanned, but only the least vector of
-each S_r orbit is keyed: relabeling the vertices maps a vector's
-candidates one-to-one onto its image's, and keys carry no labels, so
-every other vector only reports how many maps it kept, which must equal
-its representative's count.  Workers key kept maps in the
-orientation-preserving (OP) sense, which searches one chirality, until a
-certificate is met: by orbit-stabilizer, the OP classes found, weighted
-by their automorphism counts, account for every kept map of the vector
-(see _scan_vector).  Tasks go out in falling candidate count, so the
-pool is not left waiting on a large vector handed out last.  The OP
-classes are then joined into reflection-allowed classes, each recording
-how many OP classes it holds.
+verdict passes.  One pass over the S_r orbits of the vectors (_orbits)
+gives each vector what relabeling its vertices keeps: its orbit's least
+vector, the orbit's weight and its candidate count.  Every vector is
+scanned, but only the least vector of each orbit is keyed: relabeling
+the vertices maps a vector's candidates one-to-one onto its image's, and
+keys carry no labels, so every other vector only reports how many maps
+it kept, which must equal its representative's count.  Workers key kept
+maps in the orientation-preserving (OP) sense, which searches one
+chirality, until a certificate is met: by orbit-stabilizer, the OP
+classes found, weighted by their automorphism counts, account for every
+kept map of the vector (see _scan_vector).  Tasks go out in falling
+candidate count, so the pool is not left waiting on a large vector
+handed out last.  The OP classes are then joined into reflection-allowed
+classes, each recording how many OP classes it holds.
 
 Everything downstream of the candidate stream is deterministic: class
 representatives are decoded from their canonical keys, so the atlas
@@ -135,27 +137,26 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
 
 def _scan_vector(task) -> tuple[int, set]:
     """Worker: one vector's accepted-candidate count, and the OP key traces
-    of its Newton maps if the task asks for keys (else an empty set).
+    of its Newton maps if the task carries a weight (else an empty set).
 
-    The vertex relabelings that fix the vector, each with every
-    relabeling of the parallel edges, permute its candidates, and their
-    orbits are its OP classes: by orbit-stabilizer a class with |Aut+|
-    automorphisms holds _relabelings(v)/|Aut+| of the accepted
-    candidates.  So the accepted candidates are keyed in order only until
-    the classes found hold all of them.
+    The weight is stab(v)·∏ m_ij!, the vertex relabelings that fix the
+    vector, each with every relabeling of the parallel edges; they permute
+    its candidates, and their orbits are its OP classes: by
+    orbit-stabilizer a class with |Aut+| automorphisms holds weight/|Aut+|
+    of the accepted candidates.  So the accepted candidates are keyed in
+    order only until the classes found hold all of them.
     Keys carry no labels, and relabeling the vertices maps a vector's
     candidates one-to-one onto its image's, so one vector per S_r orbit
     is keyed; the union of the results of any partition of those vectors
     is the same set.
     """
-    order, mult, keyed = task
+    order, mult, weight = task
     # validate looks up the vector's one report and is_newton refuses what it
     # refuses, but perfbench's traced funnel counts these calls (ROADMAP item 1b)
     accepted = [m for m in _vector_candidates(order, mult)
                 if validate(m).ok and is_newton(m).verdict != "not-newton"]
-    if not keyed:
+    if not weight:
         return len(accepted), set()
-    weight = _relabelings(order, mult)
     left = len(accepted)  # accepted candidates in no class found yet
     found = set()
     for m in accepted:
@@ -182,43 +183,27 @@ def _scan_vector(task) -> tuple[int, set]:
     return len(accepted), found
 
 
-def _pair_permutations(order: int) -> list[tuple[int, ...]]:
-    """Each vertex permutation as it acts on a vector's pair positions:
-    the vector's image under it is tuple(mult[k] for k in the permutation)."""
+def _orbits(order: int, vectors: Sequence[tuple[int, ...]]
+            ) -> dict[tuple[int, ...], tuple[tuple[int, ...], int, int]]:
+    """Every vector in the S_r orbits of vectors mapped to what relabeling
+    the vertices keeps: the orbit's least vector, its weight stab(v)·∏ m_ij!
+    (stab(v) = r!/|orbit| by orbit-stabilizer, see _scan_vector) and its
+    candidate count ∏ (deg v - 1)!, the rotation systems with one dart of
+    each vertex pinned."""
     pairs = list(combinations(range(order), 2))
     index = {p: k for k, p in enumerate(pairs)}
-    return [tuple(index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs)
-            for p in permutations(range(order))]
-
-
-def _orbit_representatives(order: int, vectors: Sequence[tuple[int, ...]]
-                            ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each of the sorted vectors mapped to the least vector of its S_r
-    orbit.  In one pass, the first vector not yet seen is the least of its
-    orbit, and its r! images are the orbit."""
-    rep = {}
-    images = _pair_permutations(order)
+    # each vertex permutation as it acts on a vector's pair positions
+    images = [tuple(index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs)
+              for p in permutations(range(order))]
+    out = {}
     for mult in vectors:
-        if mult not in rep:
-            for image in images:
-                rep.setdefault(tuple(map(mult.__getitem__, image)), mult)
-    return rep
-
-
-def _relabelings(order: int, mult: tuple[int, ...]) -> int:
-    """stab(v)·∏ m_ij!: the vertex permutations that fix vector mult, each
-    with every permutation of the parallel edges of each pair."""
-    stab = sum(tuple(map(mult.__getitem__, image)) == mult
-               for image in _pair_permutations(order))
-    return stab * prod(map(factorial, mult))
-
-
-def _candidate_count(order: int, mult: tuple[int, ...]) -> int:
-    """∏ (deg v - 1)!: the vector's rotation systems, one dart of each
-    vertex pinned."""
-    pairs = list(combinations(range(order), 2))
-    return prod(factorial(sum(c for p, c in zip(pairs, mult) if v in p) - 1)
-                for v in range(order))
+        if mult not in out:
+            orbit = {tuple(map(mult.__getitem__, image)) for image in images}
+            facts = (min(orbit), len(images) // len(orbit) * prod(map(factorial, mult)),
+                     prod(factorial(sum(c for p, c in zip(pairs, mult) if v in p) - 1)
+                          for v in range(order)))
+            out.update(dict.fromkeys(orbit, facts))
+    return out
 
 
 def _resolve_jobs(jobs: int, n_tasks: int) -> int:
@@ -241,10 +226,12 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
         warnings.warn(f"order {order}: angle condition unavailable; "
                       "running in e-only mode", stacklevel=2)
     vectors = _multiplicity_vectors(order, 2)
-    rep = _orbit_representatives(order, vectors)
-    # largest first, so no big task is handed out last
-    tasks = sorted(((order, mult, rep[mult] == mult) for mult in vectors),
-                   key=lambda t: (-_candidate_count(order, t[1]), t[1]))
+    orbits = _orbits(order, vectors)
+    # a representative's task carries its weight, any other's 0; largest
+    # first, so no big task is handed out last
+    tasks = sorted(((order, mult, weight if rep == mult else 0)
+                    for mult, (rep, weight, _) in orbits.items()),
+                   key=lambda t: (-orbits[t[1]][2], t[1]))
     jobs = _resolve_jobs(jobs, len(tasks))
     if jobs == 1:
         results = map(_scan_vector, tasks)
@@ -255,10 +242,11 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
     scanned = {mult: result for (_, mult, _), result in zip(tasks, results)}
     for mult, (count, _) in scanned.items():
         # a relabeling maps the vector's candidates onto its representative's
-        if count != scanned[rep[mult]][0]:
+        rep = orbits[mult][0]
+        if count != scanned[rep][0]:
             raise ClassificationMismatchError(
                 f"vector {mult}: {count} accepted candidates, but its orbit's "
-                f"representative {rep[mult]} has {scanned[rep[mult]][0]}")
+                f"representative {rep} has {scanned[rep][0]}")
     op_traces = set().union(*(traces for _, traces in scanned.values()))
     traces = {canonical_key(_map_from_trace(t), True).trace for t in op_traces}
     entries = _derive_atlas([_map_from_trace(t) for t in sorted(traces)])

@@ -140,10 +140,16 @@ def _spell(word: str, ends: dict, line: int):
 def _rotations(m: EmbeddedMap) -> dict:
     """Each listed vertex's rotation as tokens, NAME or a loop's NAME.0 and
     NAME.1, started at its least token.  Refuses a sigma that no document
-    can express: one that is not one cycle per listed vertex of its darts."""
-    origin, edges = m.dart_origin, m.edges
+    can express: one that is not a permutation of two darts per edge, at
+    least two, each with one origin, or not one cycle per listed vertex of
+    its darts."""
+    origin, edges, n = m.dart_origin, m.edges, m.n_darts
+    if (not n or n != 2 * len(edges) or len(origin) != n
+            or sorted(m.sigma) != list(range(n))):
+        raise ValueError("sigma must permute the map's darts, two per edge and "
+                         "at least two, each with one origin")
     tokens = [f"{edges[d // 2]}.{d % 2}" if origin[d] == origin[d ^ 1]
-              else str(edges[d // 2]) for d in range(m.n_darts)]
+              else str(edges[d // 2]) for d in range(n)]
     table = dict.fromkeys(m.vertices)
     for cyc in _cycles(m.sigma)[1]:
         v = origin[cyc[0]]  # a second cycle at v, or one at an unlisted v

@@ -55,17 +55,7 @@ _SYMBOL = {ast.Lt: "<", ast.GtE: ">=", ast.Gt: ">", ast.LtE: "<=",
 # Mutants that no input can tell from the source, keyed by module, the
 # stripped source line and the operator; nth counts the module's earlier
 # sites of that operator on a line of that text.
-FILL = "a fill value: every slot is written before it is read"
 EQUIVALENT = {
-    ("embedded_map", "sigma = [-1] * n + [None]  # slot n keeps a rotation's first dart",
-     "1 -> 2", 0): FILL,
-    ("embedded_map", "label = [-1] * len(perm)", "1 -> 2", 0): FILL,
-    ("embedded_map", "phi = [0] * len(sigma)", "0 -> 1", 0): FILL,
-    ("embedded_map", "inv = [0] * m.n_darts", "0 -> 1", 0): FILL,
-    ("embedded_map", "sigma = [0] * n", "0 -> 1", 0): FILL,
-    ("canon", "dart = [0] * n  # trace dart -> map dart", "0 -> 1", 0): FILL,
-    ("canon", "new_sigma = [0] * n", "0 -> 1", 0): FILL,
-    ("duality", "sigma = [0] * (4 * n)", "0 -> 1", 0): FILL,
     ("canon", "MAX_DARTS = 256", "256 -> 257", 0):
         "dart counts are even, so no map has 257 darts",
     ("canon", "_require_text_width(max(self.trace, default=-1) + 1)", "1 -> 2", 0):

@@ -22,8 +22,7 @@ from newtonmaps import (ClassificationMismatchError, EmbeddedMap, SelfDuality,
 from newtonmaps import embedded_map, enumeration as en
 from newtonmaps.canon import _count_isomorphisms, _map_from_trace
 from newtonmaps.embedded_map import _cycles, _structure_report
-from newtonmaps.enumeration import (_multiplicity_vectors,
-                                    _orbit_representatives, _relabelings,
+from newtonmaps.enumeration import (_multiplicity_vectors, _orbits,
                                     _resolve_jobs, _scan_vector,
                                     _vector_candidates, label_atlas)
 
@@ -164,8 +163,26 @@ def test_scan_builds_one_report_per_vector(monkeypatch):
                         lambda m: origins.append(m.dart_origin) or real(m))
     vectors = _multiplicity_vectors(3, 2)
     for mult in vectors:
-        _scan_vector((3, mult, True))
+        _scan_vector((3, mult, _weight(3, mult)))
     assert len(vectors) == len(origins) == len(set(origins)) == 19
+
+
+def _vertex_images(order, mult):
+    """The vector's images under every vertex permutation, by relabeling
+    its multigraph's edges."""
+    pairs = list(itertools.combinations(range(order), 2))
+    edges = [p for p, c in zip(pairs, mult) for _ in range(c)]
+    images = set()
+    for perm in itertools.permutations(range(order)):
+        moved = Counter(tuple(sorted((perm[i], perm[j]))) for i, j in edges)
+        images.add(tuple(moved[p] for p in pairs))
+    return images
+
+
+def _weight(order, mult):
+    """stab(v)·∏ m_ij!, with stab(v) = r!/|orbit| by orbit-stabilizer."""
+    return (math.factorial(order) // len(_vertex_images(order, mult))
+            * math.prod(map(math.factorial, mult)))
 
 
 # small connected order-4 vectors, keyed by stab(v): the vertex
@@ -196,7 +213,8 @@ def test_op_keyed_scan_matches_reflection_keys(order, n_op, request):
     vectors = _scanned_vectors(order)
     accepted = [m for mult in vectors for m in _accepted(order, mult)]
     every = {canonical_key(m, True) for m in accepted}
-    op = set().union(*(_scan_vector((order, mult, True))[1] for mult in vectors))
+    op = set().union(*(_scan_vector((order, mult, _weight(order, mult)))[1]
+                       for mult in vectors))
     assert op == {canonical_key(m, False).trace for m in accepted}
     assert len(op) == n_op
     assert {canonical_key(_map_from_trace(t), True) for t in op} == every
@@ -219,14 +237,14 @@ def test_classes_hold_each_vector_s_accepted_candidates(order, total):
             trace = canonical_key(m, False).trace
             members[trace] += 1
             sigma_of.setdefault(trace, m.sigma)
-        weight = _relabelings(order, mult)
+        weight = _orbits(order, [mult])[mult][1]
         for trace, count in members.items():
             sigma = sigma_of[trace]
             assert count * _count_isomorphisms(sigma, sigma) == weight
         seen += sum(members.values())
     assert seen == total
     if order == 4:  # the weights hold, so the sample's stab(v) are as named
-        assert [_relabelings(4, mult) // math.prod(map(math.factorial, mult))
+        assert [_orbits(4, [mult])[mult][1] // math.prod(map(math.factorial, mult))
                 for mult in ORDER4_SAMPLE.values()] == list(ORDER4_SAMPLE)
 
 
@@ -241,9 +259,9 @@ def test_scan_keys_until_the_classes_hold_every_candidate(monkeypatch):
     monkeypatch.setattr(en, "canonical_key", counting)
     for order, keys in ((2, 1), (3, 31)):  # of 6 and 1372 accepted
         keyed.clear()
-        rep = _orbit_representatives(order, _multiplicity_vectors(order, 2))
-        for mult, least in rep.items():
-            _scan_vector((order, mult, mult == least))
+        orbits = _orbits(order, _multiplicity_vectors(order, 2))
+        for mult, (least, weight, _) in orbits.items():
+            _scan_vector((order, mult, weight if mult == least else 0))
         assert len(keyed) == keys
 
 
@@ -262,19 +280,16 @@ def test_miscounted_automorphisms_are_a_mismatch(monkeypatch, tmp_path, delta):
 
 @pytest.mark.parametrize("scale, reason", [
     (2, "hold more than its"), (0.5, "hold 20 of its 40")])
-def test_misweighted_vector_is_a_mismatch(monkeypatch, scale, reason):
-    import newtonmaps.enumeration as en
-    monkeypatch.setattr(en, "_relabelings",
-                        lambda order, mult: int(_relabelings(order, mult) * scale))
+def test_misweighted_vector_is_a_mismatch(scale, reason):
     with pytest.raises(ClassificationMismatchError, match=reason):
-        _scan_vector((3, (2, 2, 2), True))
+        _scan_vector((3, (2, 2, 2), int(_weight(3, (2, 2, 2)) * scale)))
 
 
 def test_missing_op_class_is_a_mismatch(monkeypatch):
     # drop one mirror form of a chiral class: every reflection class is
     # still found, but 13 OP keys no longer match the classes' 14 forms
     import newtonmaps.enumeration as en
-    op = set().union(*(_scan_vector((3, mult, True))[1]
+    op = set().union(*(_scan_vector((3, mult, _weight(3, mult)))[1]
                        for mult in _multiplicity_vectors(3, 2)))
     refl = {t: canonical_key(_map_from_trace(t), True) for t in op}
     forms = Counter(refl.values())
@@ -289,37 +304,27 @@ def test_missing_op_class_is_a_mismatch(monkeypatch):
         en.enumerate_newton(3)
 
 
-def _vertex_images(order, mult):
-    """The vector's images under every vertex permutation, by relabeling
-    its multigraph's edges."""
-    pairs = list(itertools.combinations(range(order), 2))
-    edges = [p for p, c in zip(pairs, mult) for _ in range(c)]
-    images = set()
-    for perm in itertools.permutations(range(order)):
-        moved = Counter(tuple(sorted((perm[i], perm[j]))) for i, j in edges)
-        images.add(tuple(moved[p] for p in pairs))
-    return images
-
-
 @pytest.mark.parametrize("order, n_orbits", [(3, 5), (4, 46)])
 def test_one_representative_per_orbit(order, n_orbits):
     vectors = _multiplicity_vectors(order, 2)
-    rep = _orbit_representatives(order, vectors)
-    assert sorted(rep) == vectors
-    sizes = Counter(rep.values())
+    orbits = _orbits(order, vectors)
+    assert sorted(orbits) == vectors
+    sizes = Counter(least for least, _, _ in orbits.values())
     assert len(sizes) == n_orbits and sum(sizes.values()) == len(vectors)
     for mult in vectors:
         images = _vertex_images(order, mult)
-        assert rep[mult] == min(images)
-        if rep[mult] == mult:
+        least, weight, count = orbits[mult]
+        assert least == min(images)
+        if least == mult:
             assert sizes[mult] == len(images)
+        assert weight == _weight(order, mult)
+        assert count == _candidate_counts(order, mult)
 
 
 def test_miscounted_non_representative_is_a_mismatch(monkeypatch, tmp_path):
     # (4, 2, 0) relabels (0, 2, 4), the least of its orbit, so both have
     # the same accepted count
-    rep = _orbit_representatives(3, _multiplicity_vectors(3, 2))
-    assert rep[4, 2, 0] == (0, 2, 4)
+    assert _orbits(3, _multiplicity_vectors(3, 2))[4, 2, 0][0] == (0, 2, 4)
 
     def miscounting(task):
         count, traces = _scan_vector(task)
@@ -347,7 +352,7 @@ def _candidate_counts(order, mult):
 @pytest.mark.parametrize("order", [3, 4])
 def test_tasks_reach_the_pool_largest_first(monkeypatch, order):
     """The tasks come in falling candidate count, ties in vector order,
-    each keyed iff its vector is its orbit's representative."""
+    each weighted iff its vector is its orbit's representative."""
     seen = []
     monkeypatch.setattr(en, "_scan_vector", lambda task: seen.append(task) or (0, set()))
     with warnings.catch_warnings():
@@ -357,9 +362,11 @@ def test_tasks_reach_the_pool_largest_first(monkeypatch, order):
     if order == 3:  # the counts are the candidates' own
         sizes = {mult: len(list(_vector_candidates(3, mult))) for mult in vectors}
         assert sizes == {mult: _candidate_counts(3, mult) for mult in vectors}
-    rep = _orbit_representatives(order, vectors)
-    assert seen == [(order, mult, rep[mult] == mult) for mult in sorted(
-        vectors, key=lambda mult: (-_candidate_counts(order, mult), mult))]
+    assert seen == [
+        (order, mult, _weight(order, mult) if min(_vertex_images(order, mult)) == mult
+         else 0)
+        for mult in sorted(vectors,
+                           key=lambda mult: (-_candidate_counts(order, mult), mult))]
 
 
 def test_order2_atlas(atlas2):
