@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = _command(sub, "classify", cmd_classify, "enumerate and classify an order")
     s.add_argument("--order", type=int, required=True)
     s.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per CPU (default: 1)")
+                   help="processes that scan, this one included, at most one per "
+                        "CPU (default: 1)")
     s.add_argument("--out", help="directory for atlas and report files")
     _add_format(s)
     _add_format(_command(sub, "atlas", cmd_atlas,

@@ -14,14 +14,15 @@ vector, the orbit's weight and its candidate count.  Every vector is
 scanned, but only the least vector of each orbit is keyed: relabeling
 the vertices maps a vector's candidates one-to-one onto its image's, and
 keys carry no labels, so every other vector only reports how many maps
-it kept, which must equal its representative's count.  Workers key kept
-maps in the orientation-preserving (OP) sense, which searches one
-chirality, until a certificate is met: by orbit-stabilizer, the OP
-classes found, weighted by their automorphism counts, account for every
-kept map of the vector (see _scan_vector).  Tasks go out in falling
-candidate count, so the pool is not left waiting on a large vector
-handed out last.  The OP classes are then joined into reflection-allowed
-classes, each recording how many OP classes it holds.
+it kept, which must equal its representative's count.  A vector's scan
+keys its kept maps in the orientation-preserving (OP) sense, which
+searches one chirality, until a certificate is met: by orbit-stabilizer,
+the OP classes found, weighted by their automorphism counts, account for
+every kept map of the vector (see _scan_vector).  Sorted by falling
+candidate count, the tasks are dealt into N strided shares of about
+equal work; the calling process scans the first share, and one worker
+process each of the others.  The OP classes are then joined into
+reflection-allowed classes, each recording how many OP classes it holds.
 
 Everything downstream of the candidate stream is deterministic: class
 representatives are decoded from their canonical keys, so the atlas
@@ -136,7 +137,7 @@ def _vector_candidates(order: int, mult: tuple[int, ...]) -> Iterator[EmbeddedMa
 
 
 def _scan_vector(task) -> tuple[int, set]:
-    """Worker: one vector's accepted-candidate count, and the OP key traces
+    """One task: a vector's accepted-candidate count, and the OP key traces
     of its Newton maps if the task carries a weight (else an empty set).
 
     The weight is stab(v)·∏ m_ij!, the vertex relabelings that fix the
@@ -206,8 +207,54 @@ def _orbits(order: int, vectors: Sequence[tuple[int, ...]]
     return out
 
 
+def _scan_share(share, send) -> None:
+    """Worker process: sends (True, the results of share's tasks), or
+    (False, the exception) if a scan raised one."""
+    try:
+        send.send((True, list(map(_scan_vector, share))))
+    except Exception as exc:
+        send.send((False, exc))
+
+
+def _scan_shares(shares) -> list:
+    """The results of every share's tasks, share after share: the first
+    share is scanned in this process while each other runs in a worker
+    process of its own, none of which outlives the call."""
+    import multiprocessing  # loaded only for a run with workers
+    workers = []
+    try:
+        for share in shares[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(target=_scan_share, args=(share, send))
+            worker.start()
+            # the worker holds the one send end left, so its death ends the pipe
+            send.close()
+            workers.append((worker, recv))
+        results = list(map(_scan_vector, shares[0]))
+        for worker, recv in workers:
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                worker.join()
+                raise ChildProcessError(f"worker process exited with code "
+                                        f"{worker.exitcode} before sending its "
+                                        "results") from None
+            if not ok:
+                raise value
+            results += value
+            worker.join()
+        return results
+    finally:
+        for worker, recv in workers:
+            recv.close()
+            if worker.is_alive():
+                worker.terminate()
+                worker.join()
+
+
 def _resolve_jobs(jobs: int, n_tasks: int) -> int:
-    """Worker count: the request, at most one per CPU and one per task."""
+    """Process count, this one included: the request, at most one per CPU
+    and one per task."""
     return max(1, min(jobs, os.cpu_count() or 1, n_tasks))
 
 
@@ -228,18 +275,14 @@ def enumerate_newton(order: int, jobs: int = 1) -> tuple[AtlasEntry, ...]:
     vectors = _multiplicity_vectors(order, 2)
     orbits = _orbits(order, vectors)
     # a representative's task carries its weight, any other's 0; largest
-    # first, so no big task is handed out last
+    # first, so that strided shares hold about equal candidate counts
     tasks = sorted(((order, mult, weight if rep == mult else 0)
                     for mult, (rep, weight, _) in orbits.items()),
                    key=lambda t: (-orbits[t[1]][2], t[1]))
     jobs = _resolve_jobs(jobs, len(tasks))
-    if jobs == 1:
-        results = map(_scan_vector, tasks)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_vector, tasks))
-    scanned = {mult: result for (_, mult, _), result in zip(tasks, results)}
+    shares = [tasks[k::jobs] for k in range(jobs)]
+    results = map(_scan_vector, tasks) if jobs == 1 else _scan_shares(shares)
+    scanned = {mult: result for (_, mult, _), result in zip(chain(*shares), results)}
     for mult, (count, _) in scanned.items():
         # a relabeling maps the vector's candidates onto its representative's
         rep = orbits[mult][0]

@@ -206,7 +206,9 @@ def serialize(m: EmbeddedMap) -> str:
 
 
 def map_to_dot(m: EmbeddedMap) -> str:
-    """Undirected multigraph rendering of the map's underlying graph."""
+    """Undirected multigraph rendering of the map's underlying graph; it
+    refuses, as serialize does, a sigma that no document can express."""
+    _rotations(m)
     lines = ["graph map {"]
     for text, _ in _vertices_by_name(m):
         lines.append(f'  "{text}";')

@@ -8,8 +8,8 @@ raised by 1, `and` and `or` swapped, or a `not` dropped.  Each mutant
 runs tier-1 with -x in a temporary copy of src/, tests/ and fixtures/,
 so the checkout is never edited, under a cap on each process's memory
 and under a wall of three times the unmutated run's seconds, after
-which the run's whole process group is killed (tier-1 starts process
-pools).  One mutant runs per CPU, and each prints one JSON line:
+which the run's whole process group is killed (tier-1 starts worker
+processes).  One mutant runs per CPU, and each prints one JSON line:
 
     killed       tier-1 failed, or a process passed the memory cap
     timeout      tier-1 hit the wall, which counts as killed
@@ -159,7 +159,7 @@ def _tier1(mutant: Site | None, wall: float | None) -> tuple[str, float]:
             status = "survived" if code == 0 else "killed"
         except subprocess.TimeoutExpired:
             status = "timeout"
-        finally:  # a pool's workers may outlive the run, or hang with it
+        finally:  # worker processes may outlive the run, or hang with it
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:

@@ -244,7 +244,8 @@ def test_iso_broken_witness_exits_4_under_optimize():
 
 
 def test_cli_import_loads_no_pool_machinery():
-    # only a run with --jobs above 1 starts a pool and imports its modules
+    # only a run with --jobs above 1 starts worker processes and imports
+    # what starts them
     script = ("import sys, newtonmaps.cli\n"
               "print(sorted({'concurrent.futures.process', 'multiprocessing'}\n"
               "             & sys.modules.keys()))\n")

@@ -3,8 +3,11 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import os
 import random
+import signal
+import time
 import warnings
 from collections import Counter
 
@@ -591,6 +594,70 @@ def test_resolve_jobs_is_clamped(monkeypatch):
     assert _resolve_jobs(-5, 0) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _resolve_jobs(10**6, 19) == 1
+
+
+def _hung(signum, frame):
+    raise TimeoutError("no answer from the scan within 60 s")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Two CPUs, so --jobs 2 starts a worker process; skips unless workers
+    are forked, since only fork copies a monkeypatch into them.  A scan
+    that hangs fails after 60 s, and no worker may outlive the test."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("a monkeypatch reaches worker processes only under fork")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def _plant(monkeypatch, in_parent, in_workers):
+    """_scan_vector calls in_parent(task) in this process and
+    in_workers(task) in every worker process instead."""
+    parent = os.getpid()
+    monkeypatch.setattr(en, "_scan_vector", lambda task: (
+        in_parent if os.getpid() == parent else in_workers)(task))
+
+
+def _mismatch(task):
+    raise ClassificationMismatchError(f"planted at vector {task[1]}")
+
+
+def test_a_worker_mismatch_fails_classify(monkeypatch, tmp_path, forked):
+    _plant(monkeypatch, en._scan_vector, _mismatch)
+    r = run_cli("classify", "--order", "3", "--jobs", "2", "--out", str(tmp_path))
+    assert r.code == 4
+    assert "internal consistency failure: planted at vector (" in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_dead_worker_fails_the_scan(monkeypatch, forked):
+    _plant(monkeypatch, en._scan_vector, lambda task: os._exit(7))
+    with pytest.raises(ChildProcessError, match="worker process exited with code 7"):
+        enumerate_newton(3, jobs=2)
+    # an OSError, so classify names it in one line and exits 3
+    assert run_cli("classify", "--order", "3", "--jobs", "2") == (
+        3, "", "error: worker process exited with code 7 before sending its "
+        "results\n")
+
+
+def test_a_failing_scan_stops_its_workers(monkeypatch, forked):
+    # the worker would wait for ever, so only stopping it ends the call
+    _plant(monkeypatch, _mismatch, lambda task: time.sleep(3600))
+    with pytest.raises(ClassificationMismatchError, match="planted at vector"):
+        enumerate_newton(3, jobs=2)
+
+
+def test_three_processes_give_the_atlas_of_one(monkeypatch, forked, atlas3):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert enumerate_newton(3, jobs=3) == atlas3
 
 
 def test_degree_pruning_loses_no_newton_map():

@@ -221,6 +221,9 @@ def test_map_to_dot(n2):
     )
     with pytest.raises(ValueError, match="vertex ids 1 and '1' both print as '1'"):
         map_to_dot(_alike_ids())
+    for change, fault in UNWRITABLE:
+        with pytest.raises(ValueError, match=fault):
+            map_to_dot(dataclasses.replace(n2, **change))
 
 
 def _alike_ids():
